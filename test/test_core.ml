@@ -383,9 +383,15 @@ let test_job_make_validation () =
 (* A smoke run of the full harness: run_basic verifies both restores
    internally, so completing at all is a strong check. Assert the paper's
    qualitative findings on top. *)
+(* The quick-config runs are shared: the smoke, scaling and concurrent
+   tests assert the paper's qualitative findings on them, and the golden
+   test pins their rendered tables byte for byte. *)
+let quick_one = lazy (Experiment.run_basic ~tapes:1 (Experiment.quick_config ()))
+let quick_four = lazy (Experiment.run_basic ~tapes:4 (Experiment.quick_config ()))
+let quick_conc = lazy (Experiment.run_concurrent (Experiment.quick_config ()))
+
 let test_experiment_smoke () =
-  let cfg = Experiment.quick_config () in
-  let b = Experiment.run_basic ~tapes:1 cfg in
+  let b = Lazy.force quick_one in
   checkb "files generated" true (b.Experiment.files > 50);
   let lb = Experiment.mb_s b.Experiment.logical_backup in
   let pb = Experiment.mb_s b.Experiment.physical_backup in
@@ -411,9 +417,8 @@ let test_experiment_smoke () =
     (ld_cpu > 3.0 *. pd_cpu)
 
 let test_experiment_scaling_shape () =
-  let cfg = Experiment.quick_config () in
-  let one = Experiment.run_basic ~tapes:1 cfg in
-  let four = Experiment.run_basic ~tapes:4 cfg in
+  let one = Lazy.force quick_one in
+  let four = Lazy.force quick_four in
   let per_tape op tapes = Experiment.gb_h op /. Float.of_int tapes in
   (* physical scales nearly linearly: per-tape throughput roughly flat *)
   let p1 = per_tape one.Experiment.physical_backup 1 in
@@ -435,11 +440,30 @@ let test_experiment_scaling_shape () =
     > 1.3 *. Experiment.gb_h four.Experiment.logical_backup)
 
 let test_experiment_concurrent () =
-  let cfg = Experiment.quick_config () in
-  let c = Experiment.run_concurrent cfg in
+  let c = Lazy.force quick_conc in
   let solo = Experiment.elapsed c.Experiment.home_solo in
   checkb "no meaningful interference" true
     (c.Experiment.home_combined_elapsed < solo *. 1.15)
+
+(* Golden for the rendered paper tables, the same pattern as
+   cli_help.golden: any change to the stage runner or the calibration
+   that moves a printed cell fails here. *)
+let test_experiment_tables_golden () =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  let one = Lazy.force quick_one in
+  Repro_backup.Report.table2 ppf one;
+  Repro_backup.Report.table3 ppf one;
+  Repro_backup.Report.table45 ppf (Lazy.force quick_four);
+  Repro_backup.Report.concurrent ppf (Lazy.force quick_conc);
+  Format.pp_print_flush ppf ();
+  let actual = Buffer.contents buf in
+  let ic = open_in_bin "tables_quick.golden" in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  if not (String.equal golden actual) then (
+    Format.printf "--- regenerate test/tables_quick.golden with: ---@.%s@." actual;
+    Alcotest.fail "rendered tables drifted from test/tables_quick.golden")
 
 let () =
   Alcotest.run "core"
@@ -474,5 +498,7 @@ let () =
           Alcotest.test_case "basic run (self-verifying)" `Slow test_experiment_smoke;
           Alcotest.test_case "scaling shape" `Slow test_experiment_scaling_shape;
           Alcotest.test_case "concurrent volumes" `Slow test_experiment_concurrent;
+          Alcotest.test_case "rendered tables match golden" `Slow
+            test_experiment_tables_golden;
         ] );
     ]
