@@ -1,6 +1,5 @@
 module Resource = Repro_sim.Resource
 module Cost = Repro_sim.Cost
-module Pipeline = Repro_sim.Pipeline
 module Disk = Repro_block.Disk
 module Volume = Repro_block.Volume
 module Tape = Repro_tape.Tape
@@ -17,43 +16,39 @@ module Compare = Repro_workload.Compare
 
 type config = {
   data_bytes : int;
-  seed : int;
-  groups : int;
-  disks_per_group : int;
   aged : bool;
   churn_rounds : int;
-  tape : Tape.params;
   costs : Cost.t;
   profile : Generator.profile;
-  create_latency_s : float;
-  dump_file_latency_s : float;
-  dump_stream_bytes_s : float;
-  auto_cp_ops : int;
 }
+
+let seed = 1999
+let groups = 3
+let disks_per_group = 11
+let auto_cp_ops = 20_000
+
+(* Per-create serialization latency on the restore path, shared with the
+   engine's io model so both cost models charge the same constant. *)
+let create_latency_s = Engine.default_io_model.Engine.restore_create_latency_s
+
+(* The single-stream read pipeline of the files phase: dump reads one
+   file at a time, so each file costs an unhidden positioning latency and
+   its bytes stream at roughly one spindle's rate boosted by read-ahead —
+   not the whole array's. This is what held the paper's one-tape logical
+   dump to ~7 MB/s against an 8.4 MB/s drive. *)
+let dump_file_latency_s = 0.004
+let dump_stream_bytes_s = 12.5e6
 
 let default_config () =
   {
     data_bytes = 64 * 1024 * 1024;
-    seed = 1999;
-    groups = 3;
-    disks_per_group = 11;
     aged = true;
     churn_rounds = 12;
-    tape = Tape.dlt7000;
     costs = Cost.f630;
     (* Larger median than Generator.default so the file count per byte is
        closer to the paper's engineering volume; per-file costs then scale
        comparably despite the much smaller volume. *)
     profile = { Generator.default with Generator.median_file_bytes = 24_576.0; sigma = 1.3 };
-    create_latency_s = 0.0025;
-    (* The single-stream read pipeline of the files phase: dump reads one
-       file at a time, so each file costs an unhidden positioning latency
-       and its bytes stream at roughly one spindle's rate boosted by
-       read-ahead — not the whole array's. This is what held the paper's
-       one-tape logical dump to ~7 MB/s against an 8.4 MB/s drive. *)
-    dump_file_latency_s = 0.004;
-    dump_stream_bytes_s = 12.5e6;
-    auto_cp_ops = 20_000;
   }
 
 let quick_config () =
@@ -65,12 +60,12 @@ let quick_config () =
 
 type operation = {
   op_name : string;
-  report : Pipeline.report;
+  report : Instrument.report;
   payload_bytes : int;
   stream_count : int;
 }
 
-let elapsed op = op.report.Pipeline.elapsed
+let elapsed op = op.report.Instrument.elapsed
 let mb_s op = Repro_util.Units.mb_per_s ~bytes:op.payload_bytes ~seconds:(elapsed op)
 let gb_h op = Repro_util.Units.gb_per_hour ~bytes:op.payload_bytes ~seconds:(elapsed op)
 
@@ -88,38 +83,38 @@ type basic = {
 type concurrent = {
   home_solo : operation;
   rlse_solo : operation;
-  combined : Pipeline.report;
+  combined : Instrument.report;
   home_combined_elapsed : float;
   rlse_combined_elapsed : float;
 }
 
 (* ------------------------------------------------------------------ *)
 
-let make_volume cfg ~label ~bytes =
+let make_volume ~label ~bytes =
   (* Enough room for data plus metadata, snapshots and COW churn. *)
-  let data_disks = cfg.groups * (cfg.disks_per_group - 1) in
+  let data_disks = groups * (disks_per_group - 1) in
   let need_blocks = (bytes / 4096 * 2) + 4096 in
   let blocks_per_disk = (need_blocks + data_disks - 1) / data_disks in
   Volume.create ~label
-    (Volume.geometry ~groups:cfg.groups ~disks_per_group:cfg.disks_per_group
-       ~blocks_per_disk ())
+    (Volume.geometry ~groups ~disks_per_group ~blocks_per_disk ())
 
 let make_fs cfg ~cpu vol =
-  let config = { (Fs.default_config ()) with Fs.cpu = Some cpu; costs = cfg.costs;
-                 auto_cp_ops = cfg.auto_cp_ops } in
+  let config =
+    { (Fs.default_config ()) with Fs.cpu = Some cpu; costs = cfg.costs; auto_cp_ops }
+  in
   (* The filer always runs with NVRAM: operations are logged (and charged)
      until a consistency point retires them; a full log forces a CP. *)
   Fs.mkfs ~config ~nvram:(Repro_wafl.Nvram.create ()) vol
 
 let qtree_path i = Printf.sprintf "/home/q%d" i
 
-let build_source cfg ~cpu ~qtrees ~bytes =
-  let vol = make_volume cfg ~label:"home" ~bytes in
+let build_source cfg ~seed ~cpu ~qtrees ~bytes =
+  let vol = make_volume ~label:"home" ~bytes in
   let fs = make_fs cfg ~cpu vol in
   ignore (Fs.mkdir fs "/home" ~perms:0o755);
   for i = 0 to qtrees - 1 do
     ignore (Fs.qtree_create fs (qtree_path i) ~perms:0o755);
-    let profile = { cfg.profile with Generator.seed = cfg.seed + (37 * i) } in
+    let profile = { cfg.profile with Generator.seed = seed + (37 * i) } in
     ignore
       (Generator.populate ~profile ~fs ~root:(qtree_path i)
          ~total_bytes:(bytes / qtrees) ())
@@ -127,7 +122,7 @@ let build_source cfg ~cpu ~qtrees ~bytes =
   if cfg.aged then
     for i = 0 to qtrees - 1 do
       let churn =
-        { Ager.default_churn with Ager.seed = cfg.seed + (91 * i);
+        { Ager.default_churn with Ager.seed = seed + (91 * i);
           rounds = cfg.churn_rounds }
       in
       ignore (Ager.age ~churn ~fs ~root:(qtree_path i) ())
@@ -135,13 +130,25 @@ let build_source cfg ~cpu ~qtrees ~bytes =
   Fs.cp fs;
   (fs, vol)
 
-let tape_libs cfg ~prefix n =
+let tape_libs ~prefix n =
   Array.init n (fun i ->
-      Library.create ~params:cfg.tape ~slots:64
+      Library.create ~params:Tape.dlt7000 ~slots:64
         ~label:(Printf.sprintf "%s%d" prefix i)
         ())
 
-let fresh_clock () = Repro_sim.Clock.create ()
+(* One measured image stream split into [n] symmetric parallel streams,
+   stream [i] on the drive of [libs.(i)]. *)
+let split_streams ~prefix libs stages =
+  let n = Array.length libs in
+  List.init n (fun i ->
+      {
+        Instrument.stream_label = Printf.sprintf "%s%d" prefix i;
+        stages =
+          Instrument.retarget
+            (Instrument.scale_stages stages (1.0 /. Float.of_int n))
+            ~from_prefix:"tape:"
+            ~to_resource:(Tape.resource (Library.drive libs.(i)));
+      })
 
 (* ------------------------------------------------------------------ *)
 
@@ -149,12 +156,12 @@ let run_basic ?(tapes = 1) cfg =
   if tapes < 1 then invalid_arg "Experiment.run_basic";
   let n = tapes in
   let cpu = Resource.create "cpu" in
-  let fs, vol = build_source cfg ~cpu ~qtrees:n ~bytes:cfg.data_bytes in
+  let fs, vol = build_source cfg ~seed ~cpu ~qtrees:n ~bytes:cfg.data_bytes in
   let files = List.length (Generator.file_paths fs "/home") in
   let fragmentation = Ager.fragmentation fs "/home" in
 
   (* ---------------- logical backup ---------------- *)
-  let dump_libs = tape_libs cfg ~prefix:"ld" n in
+  let dump_libs = tape_libs ~prefix:"ld" n in
   let (), snap_create =
     Instrument.collect ~resources:[ cpu; Volume.resource vol ] (fun observe ->
         observe "creating snapshot" (fun () -> Fs.snapshot_create fs "dump"))
@@ -172,15 +179,15 @@ let run_basic ?(tapes = 1) cfg =
                 ())
         in
         (* The per-stream read pipeline: per-file positioning latency plus
-           single-stream streaming rate (see default_config). *)
+           single-stream streaming rate (see dump_file_latency_s). *)
         let serial = Resource.create (Printf.sprintf "serial:d%d" i) in
         let pipeline_work =
-          (Float.of_int result.Dump.files_dumped *. cfg.dump_file_latency_s)
-          +. (Float.of_int result.Dump.bytes_written /. cfg.dump_stream_bytes_s)
+          (Float.of_int result.Dump.files_dumped *. dump_file_latency_s)
+          +. (Float.of_int result.Dump.bytes_written /. dump_stream_bytes_s)
         in
         let stages =
           Instrument.add_demand stages ~stage:"dumping files"
-            (Pipeline.demand serial pipeline_work)
+            (Instrument.demand serial pipeline_work)
         in
         (result, stages))
   in
@@ -194,12 +201,12 @@ let run_basic ?(tapes = 1) cfg =
         let stages =
           if i = 0 then snap_create @ stages @ snap_delete else stages
         in
-        { Pipeline.stream_label = Printf.sprintf "ldump%d" i; stages })
+        { Instrument.stream_label = Printf.sprintf "ldump%d" i; stages })
   in
   let logical_backup =
     {
       op_name = "Logical Backup";
-      report = Pipeline.run ~clock:(fresh_clock ()) logical_streams;
+      report = Instrument.run logical_streams;
       payload_bytes =
         Array.fold_left (fun acc (r, _) -> acc + r.Dump.bytes_written) 0 dump_results;
       stream_count = n;
@@ -207,7 +214,7 @@ let run_basic ?(tapes = 1) cfg =
   in
 
   (* ---------------- logical restore ---------------- *)
-  let ldst_vol = make_volume cfg ~label:"ldst" ~bytes:cfg.data_bytes in
+  let ldst_vol = make_volume ~label:"ldst" ~bytes:cfg.data_bytes in
   let ldst_fs = make_fs cfg ~cpu ldst_vol in
   ignore (Fs.mkdir ldst_fs "/home" ~perms:0o755);
   let restore_streams =
@@ -228,14 +235,14 @@ let run_basic ?(tapes = 1) cfg =
         in
         let stages =
           Instrument.add_demand stages ~stage:"creating files"
-            (Pipeline.demand serial (Float.of_int creates *. cfg.create_latency_s))
+            (Instrument.demand serial (Float.of_int creates *. create_latency_s))
         in
-        { Pipeline.stream_label = Printf.sprintf "lrest%d" i; stages })
+        { Instrument.stream_label = Printf.sprintf "lrest%d" i; stages })
   in
   let logical_restore =
     {
       op_name = "Logical Restore";
-      report = Pipeline.run ~clock:(fresh_clock ()) restore_streams;
+      report = Instrument.run restore_streams;
       payload_bytes = logical_backup.payload_bytes;
       stream_count = n;
     }
@@ -246,7 +253,7 @@ let run_basic ?(tapes = 1) cfg =
     failwith ("logical restore verification failed: " ^ String.concat "; " d));
 
   (* ---------------- physical backup ---------------- *)
-  let img_libs = tape_libs cfg ~prefix:"im" n in
+  let img_libs = tape_libs ~prefix:"im" n in
   let (), isnap_create =
     Instrument.collect ~resources:[ cpu; Volume.resource vol ] (fun observe ->
         observe "creating snapshot" (fun () -> Fs.snapshot_create fs "img"))
@@ -264,53 +271,33 @@ let run_basic ?(tapes = 1) cfg =
         observe "deleting snapshot" (fun () -> Fs.snapshot_delete fs "img"))
   in
   let physical_streams =
-    if n = 1 then
-      [ { Pipeline.stream_label = "idump0";
-          stages = isnap_create @ img_stages @ isnap_delete } ]
-    else
-      List.init n (fun i ->
-          let split = Instrument.scale_stages img_stages (1.0 /. Float.of_int n) in
-          let split =
-            Instrument.retarget split ~from_prefix:"tape:"
-              ~to_resource:(Tape.resource (Library.drive img_libs.(i)))
-          in
-          let split =
-            if i = 0 then isnap_create @ split @ isnap_delete else split
-          in
-          { Pipeline.stream_label = Printf.sprintf "idump%d" i; stages = split })
+    List.mapi
+      (fun i (s : Instrument.stream) ->
+        if i = 0 then { s with stages = isnap_create @ s.stages @ isnap_delete } else s)
+      (split_streams ~prefix:"idump" img_libs img_stages)
   in
   let physical_backup =
     {
       op_name = "Physical Backup";
-      report = Pipeline.run ~clock:(fresh_clock ()) physical_streams;
+      report = Instrument.run physical_streams;
       payload_bytes = img_result.Image_dump.bytes_written;
       stream_count = n;
     }
   in
 
   (* ---------------- physical restore ---------------- *)
-  let pdst_vol = make_volume cfg ~label:"pdst" ~bytes:cfg.data_bytes in
+  let pdst_vol = make_volume ~label:"pdst" ~bytes:cfg.data_bytes in
   let _rr, prest_stages =
     Instrument.collect ~resources:[ cpu; Volume.resource pdst_vol; img_tape0 ]
       (fun observe ->
         Image_restore.apply ~observe ~cpu ~costs:cfg.costs ~volume:pdst_vol
           (Tapeio.source img_libs.(0)))
   in
-  let prest_streams =
-    if n = 1 then [ { Pipeline.stream_label = "irest0"; stages = prest_stages } ]
-    else
-      List.init n (fun i ->
-          let split = Instrument.scale_stages prest_stages (1.0 /. Float.of_int n) in
-          let split =
-            Instrument.retarget split ~from_prefix:"tape:"
-              ~to_resource:(Tape.resource (Library.drive img_libs.(i)))
-          in
-          { Pipeline.stream_label = Printf.sprintf "irest%d" i; stages = split })
-  in
+  let prest_streams = split_streams ~prefix:"irest" img_libs prest_stages in
   let physical_restore =
     {
       op_name = "Physical Restore";
-      report = Pipeline.run ~clock:(fresh_clock ()) prest_streams;
+      report = Instrument.run prest_streams;
       payload_bytes = img_result.Image_dump.bytes_written;
       stream_count = n;
     }
@@ -335,10 +322,10 @@ let run_basic ?(tapes = 1) cfg =
 (* ------------------------------------------------------------------ *)
 
 let measure_volume_dump cfg ~cpu ~name ~bytes =
-  let fs, vol = build_source { cfg with seed = cfg.seed + Hashtbl.hash name } ~cpu
-      ~qtrees:1 ~bytes
+  let fs, vol =
+    build_source cfg ~seed:(seed + Hashtbl.hash name) ~cpu ~qtrees:1 ~bytes
   in
-  let lib = (tape_libs cfg ~prefix:(name ^ "-t") 1).(0) in
+  let lib = (tape_libs ~prefix:(name ^ "-t") 1).(0) in
   Fs.snapshot_create fs "dump";
   let view = Fs.snapshot_view fs "dump" in
   let result, stages =
@@ -364,9 +351,7 @@ let run_concurrent cfg =
   let solo name stages (result : Dump.result) =
     {
       op_name = name;
-      report =
-        Pipeline.run ~clock:(fresh_clock ())
-          [ { Pipeline.stream_label = name; stages } ];
+      report = Instrument.run [ { Instrument.stream_label = name; stages } ];
       payload_bytes = result.Dump.bytes_written;
       stream_count = 1;
     }
@@ -374,20 +359,19 @@ let run_concurrent cfg =
   let home_solo = solo "home dump (solo)" home_stages home_result in
   let rlse_solo = solo "rlse dump (solo)" rlse_stages rlse_result in
   let combined =
-    Pipeline.run ~clock:(fresh_clock ())
+    Instrument.run
       [
-        { Pipeline.stream_label = "home"; stages = home_stages };
-        { Pipeline.stream_label = "rlse"; stages = rlse_stages };
+        { Instrument.stream_label = "home"; stages = home_stages };
+        { Instrument.stream_label = "rlse"; stages = rlse_stages };
       ]
   in
   let finish_of prefix =
     List.fold_left
-      (fun acc (s : Pipeline.stage_summary) ->
-        if String.length s.Pipeline.stage_label >= String.length prefix
-           && String.equal (String.sub s.Pipeline.stage_label 0 (String.length prefix)) prefix
-        then Float.max acc s.Pipeline.finish
+      (fun acc (s : Instrument.stage_summary) ->
+        if String.starts_with ~prefix s.Instrument.stage_label then
+          Float.max acc s.Instrument.finish
         else acc)
-      0.0 combined.Pipeline.stages
+      0.0 combined.Instrument.stages
   in
   {
     home_solo;
@@ -399,16 +383,15 @@ let run_concurrent cfg =
 
 (* ------------------------------------------------------------------ *)
 
-let stage_cpu s = Pipeline.stage_utilization s "cpu"
+let stage_cpu s = Instrument.stage_utilization s "cpu"
 
-let stage_rate_prefix (s : Pipeline.stage_summary) prefix =
-  let e = Pipeline.stage_elapsed s in
+let stage_rate_prefix (s : Instrument.stage_summary) prefix =
+  let e = Instrument.stage_elapsed s in
   if e <= 0.0 then 0.0
   else
     List.fold_left
       (fun acc (name, bytes) ->
-        if String.length name >= String.length prefix
-           && String.equal (String.sub name 0 (String.length prefix)) prefix
-        then acc +. (Float.of_int bytes /. 1_000_000.0 /. e)
+        if String.starts_with ~prefix name then
+          acc +. (Float.of_int bytes /. 1_000_000.0 /. e)
         else acc)
-      0.0 s.Pipeline.stage_bytes
+      0.0 s.Instrument.stage_bytes

@@ -2,8 +2,8 @@
 
     Each experiment builds a mature synthetic volume, runs the {e real}
     dump/restore implementations while measuring per-stage resource
-    demands ({!Instrument}), and overlaps the streams with the fluid
-    {!Repro_sim.Pipeline} solver to obtain elapsed times, throughputs and
+    demands ({!Instrument}), and overlaps the streams on the fluid
+    scheduler ({!Instrument.run}) to obtain elapsed times, throughputs and
     utilizations. Volumes are scaled down from the paper's 188 GB (rates
     and ratios, not absolute sizes, are the reproduction target); device
     and CPU parameters are period-calibrated (DLT-7000 tape, ~10 MB/s
@@ -16,29 +16,32 @@
 
 type config = {
   data_bytes : int;  (** user data per volume *)
-  seed : int;
-  groups : int;  (** RAID groups ("home" has 3) *)
-  disks_per_group : int;  (** incl. parity (31 disks / 3 groups ≈ 11) *)
   aged : bool;  (** churn the volume into a mature, fragmented state *)
   churn_rounds : int;
-  tape : Repro_tape.Tape.params;
   costs : Repro_sim.Cost.t;
   profile : Repro_workload.Generator.profile;
       (** file-size/fan-out profile; the default median is chosen so
           files-per-megabyte lands near the paper's volume, keeping
           per-file costs comparable at small scale *)
-  create_latency_s : float;
-      (** serialization latency per file creation on the restore path
-          (models the synchronous request/response cost that keeps the
-          paper's "creating files" stage from being CPU-saturated) *)
-  dump_file_latency_s : float;
-      (** unhidden per-file positioning latency on the dump's files phase *)
-  dump_stream_bytes_s : float;
-      (** effective single-stream streaming rate of the dump read pipeline
-          (one file at a time ≈ one spindle plus read-ahead, not the whole
-          array) *)
-  auto_cp_ops : int;
 }
+(** The knobs the ablations turn. Everything else is a fixed calibration:
+    a DLT-7000 drive per stream, a 20 000-operation consistency-point
+    trigger, the restore path's per-create serialization latency
+    ({!Engine.default_io_model}[.restore_create_latency_s], the
+    synchronous request/response cost that keeps the paper's "creating
+    files" stage from being CPU-saturated), and the dump's single-stream
+    read pipeline (an unhidden 4 ms positioning latency per file and a
+    12.5 MB/s streaming rate: one file at a time ≈ one spindle plus
+    read-ahead, not the whole array). *)
+
+val seed : int
+(** Seed of the synthetic volumes. *)
+
+val groups : int
+(** RAID groups ("home" has 3). *)
+
+val disks_per_group : int
+(** Disks per group, incl. parity (31 disks / 3 groups ≈ 11). *)
 
 val default_config : unit -> config
 (** 64 MiB of data, aged, home-like geometry. *)
@@ -48,7 +51,7 @@ val quick_config : unit -> config
 
 type operation = {
   op_name : string;
-  report : Repro_sim.Pipeline.report;
+  report : Instrument.report;
   payload_bytes : int;  (** user data moved *)
   stream_count : int;
 }
@@ -75,7 +78,7 @@ val run_basic : ?tapes:int -> config -> basic
 type concurrent = {
   home_solo : operation;
   rlse_solo : operation;
-  combined : Repro_sim.Pipeline.report;
+  combined : Instrument.report;
   home_combined_elapsed : float;
   rlse_combined_elapsed : float;
 }
@@ -86,7 +89,7 @@ val run_concurrent : config -> concurrent
 
 (** {1 Stage helpers for reports} *)
 
-val stage_cpu : Repro_sim.Pipeline.stage_summary -> float
-val stage_rate_prefix : Repro_sim.Pipeline.stage_summary -> string -> float
+val stage_cpu : Instrument.stage_summary -> float
+val stage_rate_prefix : Instrument.stage_summary -> string -> float
 (** MB/s through all resources whose name has the given prefix ("disk:" /
     "tape:"). *)

@@ -1,5 +1,4 @@
 module Sim = Repro_sim.Engine
-module Pipeline = Repro_sim.Pipeline
 module Resource_id = Repro_sim.Resource_id
 
 type demand = { key : string; work : float }
@@ -37,6 +36,72 @@ type 'a task_outcome =
 type pool_stats = { p_elapsed : float; p_slots : (slot * float * int) list }
 
 let eps = 1e-9
+
+(* Self-profiling: every fair-share solve is one fluid-interval
+   recomputation; host wall clock only. *)
+let p_solver = Repro_prof.Prof.probe "sim.solver"
+let c_recomputes = Repro_prof.Prof.counter "sim.interval_recomputes"
+
+(* Max-min fair rates by progressive filling: raise every unfrozen
+   task's rate together until some resource saturates, freeze the tasks
+   using it, repeat. Resources are scanned in sorted key order so the
+   bottleneck choice — and thus the rate vector — is deterministic
+   regardless of construction order. Tasks never frozen have all-zero
+   vectors: unconstrained, effectively instant. *)
+let fair_share demands =
+  let tok = Repro_prof.Prof.enter p_solver in
+  let rates = Array.make (Array.length demands) 1e12 in
+  let keys =
+    Array.fold_left
+      (fun acc ds ->
+        List.fold_left (fun acc (k, w) -> if w > eps then k :: acc else acc) acc ds)
+      [] demands
+    |> List.sort_uniq String.compare
+  in
+  let weight i key =
+    List.fold_left
+      (fun acc (k, w) -> if String.equal k key then acc +. w else acc)
+      0.0 demands.(i)
+  in
+  let residual = Hashtbl.create 16 in
+  List.iter (fun k -> Hashtbl.replace residual k 1.0) keys;
+  let rec fill level unfrozen =
+    let bottleneck =
+      List.fold_left
+        (fun best key ->
+          let total_w = List.fold_left (fun acc i -> acc +. weight i key) 0.0 unfrozen in
+          if total_w <= eps then best
+          else
+            let delta = (Hashtbl.find residual key -. (level *. total_w)) /. total_w in
+            match best with Some (_, d) when d <= delta -> best | _ -> Some (key, delta))
+        None keys
+    in
+    match bottleneck with
+    | None -> ()
+    | Some (key, delta) -> (
+      let level = level +. Float.max 0.0 delta in
+      let frozen, still = List.partition (fun i -> weight i key > eps) unfrozen in
+      List.iter
+        (fun i ->
+          rates.(i) <- level;
+          List.iter
+            (fun (k, w) ->
+              if w > eps then
+                Hashtbl.replace residual k (Hashtbl.find residual k -. (level *. w)))
+            demands.(i))
+        frozen;
+      match (frozen, still) with
+      | _, [] -> ()
+      | [], _ ->
+        (* Defensive: only sub-eps weights left on the bottleneck; stop
+           rather than loop. *)
+        List.iter (fun i -> rates.(i) <- Float.max level eps) still
+      | _ -> fill level still)
+  in
+  fill 0.0 (List.init (Array.length demands) Fun.id);
+  Repro_prof.Prof.leave tok;
+  Repro_prof.Prof.bump c_recomputes;
+  rates
 
 (* Self-profiling: each fair-share interval recomputation is timed on
    the host wall clock (the solver itself shows up as a child frame). *)
@@ -251,10 +316,7 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
     | [] -> ()
     | flights ->
       let tok = Repro_prof.Prof.enter p_interval in
-      let r =
-        Pipeline.fair_share
-          (Array.of_list (List.map (fun f -> f.f_demands) flights))
-      in
+      let r = fair_share (Array.of_list (List.map (fun f -> f.f_demands) flights)) in
       let _, dt =
         List.fold_left
           (fun (i, acc) f ->

@@ -94,6 +94,11 @@ let load r =
   let native_mb_s = Int64.float_of_bits (read_u64 r) in
   let compression = Int64.float_of_bits (read_u64 r) in
   let capacity_bytes = read_int r in
+  (* Checked here: Tape.params raises Invalid_argument on a non-positive
+     field and accepts a NaN or infinite rate. *)
+  let valid f = Float.is_finite f && f > 0.0 in
+  if not (valid native_mb_s && valid compression && capacity_bytes > 0) then
+    raise (Corrupt "RLIB1: bad tape parameters");
   let params = Tape.params ~native_mb_s ~compression ~capacity_bytes () in
   let nblanks = read_u16 r in
   let nwritten = read_u16 r in

@@ -17,7 +17,6 @@ let backup eng ~strategy ?level ?subtree ?exclude ?label ?parts ?drives ?resume
        ?resume ())
 module Instrument = Repro_backup.Instrument
 module Experiment = Repro_backup.Experiment
-module Pipeline = Repro_sim.Pipeline
 module Resource = Repro_sim.Resource
 module Generator = Repro_workload.Generator
 module Compare = Repro_workload.Compare
@@ -332,24 +331,24 @@ let test_instrument_collect () =
   in
   checki "two stages" 2 (List.length stages);
   let a = List.nth stages 0 and b = List.nth stages 1 in
-  checks "label a" "phase a" a.Pipeline.label;
-  checki "a has one demand" 1 (List.length a.Pipeline.demands);
-  checki "b has two demands" 2 (List.length b.Pipeline.demands);
-  let d = List.hd a.Pipeline.demands in
-  Alcotest.(check (float 1e-9)) "delta work" 1.0 d.Pipeline.work;
-  checki "delta bytes" 100 d.Pipeline.bytes
+  checks "label a" "phase a" a.Instrument.label;
+  checki "a has one demand" 1 (List.length a.Instrument.demands);
+  checki "b has two demands" 2 (List.length b.Instrument.demands);
+  let d = List.hd a.Instrument.demands in
+  Alcotest.(check (float 1e-9)) "delta work" 1.0 d.Instrument.work;
+  checki "delta bytes" 100 d.Instrument.bytes
 
 let test_instrument_scale_retarget () =
   let tape = Resource.create "tape:0" in
-  let stages = [ Pipeline.stage "w" [ Pipeline.demand ~bytes:1000 tape 2.0 ] ] in
+  let stages = [ Instrument.stage "w" [ Instrument.demand ~bytes:1000 tape 2.0 ] ] in
   let halved = Instrument.scale_stages stages 0.5 in
-  let d = List.hd (List.hd halved).Pipeline.demands in
-  Alcotest.(check (float 1e-9)) "halved work" 1.0 d.Pipeline.work;
-  checki "halved bytes" 500 d.Pipeline.bytes;
+  let d = List.hd (List.hd halved).Instrument.demands in
+  Alcotest.(check (float 1e-9)) "halved work" 1.0 d.Instrument.work;
+  checki "halved bytes" 500 d.Instrument.bytes;
   let other = Resource.create "tape:1" in
   let moved = Instrument.retarget halved ~from_prefix:"tape:" ~to_resource:other in
-  let d2 = List.hd (List.hd moved).Pipeline.demands in
-  checks "retargeted" "tape:1" (Resource.name d2.Pipeline.resource)
+  let d2 = List.hd (List.hd moved).Instrument.demands in
+  checks "retargeted" "tape:1" (Resource.name d2.Instrument.resource)
 
 (* ------------------------------- job --------------------------------- *)
 
@@ -403,8 +402,8 @@ let test_experiment_smoke () =
   let cpu_of op label =
     match
       List.find_opt
-        (fun (s : Pipeline.stage_summary) -> s.Pipeline.stage_label = label)
-        op.Experiment.report.Pipeline.stages
+        (fun (s : Instrument.stage_summary) -> s.Instrument.stage_label = label)
+        op.Experiment.report.Instrument.stages
     with
     | Some s -> Experiment.stage_cpu s
     | None -> 0.0

@@ -1,6 +1,8 @@
 (* Property tests for every on-media codec: dump headers, image records,
    fsinfo blocks, inodes, tar and cpio headers. Random values in, equal
-   values out — and corrupted bytes never decode as valid. *)
+   values out — and corrupted bytes never decode as valid. Plus the
+   stacker (RLIB1) decoder's field validation and the stage runner's
+   conservation and ordering properties. *)
 
 module Spec = Repro_dump.Spec
 module Format_img = Repro_image.Format
@@ -8,6 +10,7 @@ module Fsinfo = Repro_wafl.Fsinfo
 module Inode = Repro_wafl.Inode
 module Layout = Repro_wafl.Layout
 module Serde = Repro_util.Serde
+module Library = Repro_tape.Library
 
 let gen_kind =
   QCheck2.Gen.oneofl [ Inode.Regular; Inode.Directory; Inode.Symlink ]
@@ -209,29 +212,32 @@ let prop_fsinfo_corruption =
       Bytes.set b flip_at (Char.chr (Char.code (Bytes.get b flip_at) lxor 0x23));
       Fsinfo.decode b = None)
 
-(* ------------------------- pipeline conservation ---------------------- *)
+(* ---------------------------- stage runner ---------------------------- *)
 
-module Pipeline = Repro_sim.Pipeline
+module Instrument = Repro_backup.Instrument
 module Resource = Repro_sim.Resource
 
+(* Streams of stages; each demand picks one of three shared resources by
+   index, with work in tenths of a second. *)
+let gen_streams =
+  QCheck2.Gen.(
+    list_size (int_range 1 4)
+      (list_size (int_range 1 3) (list_size (int_range 1 3) (int_range 1 50))))
+
 let prop_pipeline_conservation =
-  QCheck2.Test.make ~name:"pipeline: work conserved, elapsed bounded"
-    QCheck2.Gen.(
-      list_size (int_range 1 4)
-        (list_size (int_range 1 3) (list_size (int_range 1 3) (int_range 1 50))))
+  QCheck2.Test.make ~name:"pipeline: work conserved, elapsed bounded" gen_streams
     (fun streams_spec ->
-      (* three shared resources; each demand picks one by index *)
       let resources = Array.init 3 (fun i -> Resource.create (Printf.sprintf "r%d" i)) in
       let total_work = Array.make 3 0.0 in
       let streams =
         List.mapi
           (fun si stages ->
             {
-              Pipeline.stream_label = Printf.sprintf "s%d" si;
+              Instrument.stream_label = Printf.sprintf "s%d" si;
               stages =
                 List.mapi
                   (fun gi demands ->
-                    Pipeline.stage
+                    Instrument.stage
                       (Printf.sprintf "g%d" gi)
                       (List.mapi
                          (fun di w ->
@@ -239,26 +245,122 @@ let prop_pipeline_conservation =
                            let work = Float.of_int w /. 10.0 in
                            total_work.((si + gi + di) mod 3) <-
                              total_work.((si + gi + di) mod 3) +. work;
-                           Pipeline.demand r work)
+                           Instrument.demand r work)
                          demands))
                   stages;
             })
           streams_spec
       in
-      let report = Pipeline.run streams in
+      let report = Instrument.run streams in
       let eps = 1e-6 in
-      (* every unit of demanded work was delivered *)
+      (* every unit of demanded work shows up in the stage summaries *)
       let conserved =
         Array.for_all2
-          (fun r w -> Float.abs (Resource.busy r -. w) < eps +. (w *. 1e-9))
+          (fun r w ->
+            let busy =
+              List.fold_left
+                (fun acc (s : Instrument.stage_summary) ->
+                  match List.assoc_opt (Resource.name r) s.Instrument.busy with
+                  | Some b -> acc +. b
+                  | None -> acc)
+                0.0 report.Instrument.stages
+            in
+            Float.abs (busy -. w) < eps +. (w *. 1e-9))
           resources total_work
       in
-      (* elapsed can never beat the busiest resource, nor the longest
-         single stream run serially *)
-      let lower_bound =
-        Array.fold_left Float.max 0.0 total_work
+      (* elapsed can never beat the busiest resource; and max-min filling
+         keeps some resource saturated while anything runs, so it never
+         exceeds all the work done back to back *)
+      let lower_bound = Array.fold_left Float.max 0.0 total_work in
+      let upper_bound = Array.fold_left ( +. ) 0.0 total_work in
+      conserved
+      && report.Instrument.elapsed +. eps >= lower_bound
+      && report.Instrument.elapsed <= upper_bound +. eps)
+
+(* The runner's sequencing comes from queue order alone: a stream's stages
+   are tasks on one exclusive slot, admitted in list order. Give every
+   stage a unique label so each summary row is one stage's window. *)
+let prop_stream_stages_in_order =
+  QCheck2.Test.make ~name:"pipeline: stream stages run in list order, never overlap"
+    gen_streams (fun streams_spec ->
+      let resources = Array.init 3 (fun i -> Resource.create (Printf.sprintf "r%d" i)) in
+      let label si gi = Printf.sprintf "s%d.g%d" si gi in
+      let streams =
+        List.mapi
+          (fun si stages ->
+            {
+              Instrument.stream_label = Printf.sprintf "s%d" si;
+              stages =
+                List.mapi
+                  (fun gi demands ->
+                    Instrument.stage (label si gi)
+                      (List.mapi
+                         (fun di w ->
+                           Instrument.demand
+                             resources.((si + gi + di) mod 3)
+                             (Float.of_int w /. 10.0))
+                         demands))
+                  stages;
+            })
+          streams_spec
       in
-      conserved && report.Pipeline.elapsed +. eps >= lower_bound)
+      let report = Instrument.run streams in
+      let window si gi =
+        let s =
+          List.find
+            (fun (s : Instrument.stage_summary) -> s.Instrument.stage_label = label si gi)
+            report.Instrument.stages
+        in
+        (s.Instrument.start, s.Instrument.finish)
+      in
+      List.for_all Fun.id
+        (List.mapi
+           (fun si stages ->
+             let windows = List.mapi (fun gi _ -> window si gi) stages in
+             let rec ordered prev_finish = function
+               | [] -> true
+               | (start, finish) :: rest ->
+                 start +. 1e-9 >= prev_finish && finish >= start && ordered finish rest
+             in
+             ordered 0.0 windows)
+           streams_spec))
+
+(* ------------------------------- RLIB1 ------------------------------- *)
+
+(* A saved stacker whose tape parameters decode to a value Tape.params
+   rejects (or, for NaN, would wrongly accept) must fail with the typed
+   Serde.Corrupt, never Invalid_argument. The parameters sit right after
+   the magic and the label: native rate, compression (f64 bits each),
+   capacity (int). *)
+let rlib1_with ?native_mb_s ?compression ?capacity_bytes () =
+  let w = Serde.writer () in
+  Library.save w (Library.create ~slots:2 ~label:"lib" ());
+  let b = Bytes.of_string (Serde.contents w) in
+  let params_at = String.length "RLIB1" + 4 + String.length "lib" in
+  let put_f64 off v = Bytes.set_int64_le b off (Int64.bits_of_float v) in
+  Option.iter (put_f64 params_at) native_mb_s;
+  Option.iter (put_f64 (params_at + 8)) compression;
+  Option.iter
+    (fun c -> Bytes.set_int64_le b (params_at + 16) (Int64.of_int c))
+    capacity_bytes;
+  Bytes.to_string b
+
+let test_rlib1_bad_params () =
+  let decodes s =
+    match Library.load (Serde.reader s) with
+    | (_ : Library.t) -> `Ok
+    | exception Serde.Corrupt _ -> `Corrupt
+  in
+  Alcotest.(check bool) "untouched round-trips" true (decodes (rlib1_with ()) = `Ok);
+  List.iter
+    (fun (name, s) ->
+      Alcotest.(check bool) name true (decodes s = `Corrupt))
+    [
+      ("negative compression", rlib1_with ~compression:(-1.7) ());
+      ("zero capacity", rlib1_with ~capacity_bytes:0 ());
+      ("NaN rate", rlib1_with ~native_mb_s:Float.nan ());
+      ("infinite rate", rlib1_with ~native_mb_s:Float.infinity ());
+    ]
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -275,5 +377,8 @@ let () =
           prop_fsinfo_codec;
           prop_fsinfo_corruption;
         ];
-      qsuite "pipeline" [ prop_pipeline_conservation ];
+      qsuite "pipeline" [ prop_pipeline_conservation; prop_stream_stages_in_order ];
+      ( "rlib1",
+        [ Alcotest.test_case "bad tape parameters are Corrupt" `Quick test_rlib1_bad_params ]
+      );
     ]
