@@ -1303,7 +1303,10 @@ let run_speed ?(volumes = 100) () =
 
    (a) the night is deterministic: two same-seed runs produce identical
        completion sets, per-volume tape CRCs and makespans, and a
-       different fleet seed passes the same gates;
+       different fleet seed passes the same gates. Each seed's
+       [tape_crc_digest] (the CRC-32 of the per-volume tape CRCs, each a
+       u32 little-endian, in catalog order) pins every tape byte in the
+       baseline;
 
    (b) with every drive kept busy the night is link-limited, so
        aggregate goodput must land within 10% of the per-link
@@ -1327,6 +1330,14 @@ let run_fleet () =
           c.Fleet.Status.c_tape_bytes,
           c.Fleet.Status.c_finished ))
       status.Fleet.Status.st_completed
+  in
+  let tape_crc_digest (status : Fleet.Status.t) =
+    let b = Buffer.create (4 * volumes) in
+    List.iter
+      (fun (c : Fleet.Status.completed) ->
+        Buffer.add_int32_le b (Int32.of_int c.Fleet.Status.c_tape_crc))
+      status.Fleet.Status.st_completed;
+    Repro_util.Crc32.string (Buffer.contents b)
   in
   let gate ?repeat:(repeat = false) seed =
     let r1, s1 = night seed in
@@ -1357,10 +1368,10 @@ let run_fleet () =
       (if repeat then
          if deterministic then "  deterministic: yes" else "  deterministic: NO"
        else "");
-    (r1, ratio, deterministic, complete && bound_ok && deterministic)
+    (r1, ratio, tape_crc_digest s1, deterministic, complete && bound_ok && deterministic)
   in
-  let r42, ratio42, det42, ok42 = gate ~repeat:true 42 in
-  let _r7, ratio7, _, ok7 = gate 7 in
+  let r42, ratio42, crc42, det42, ok42 = gate ~repeat:true 42 in
+  let _r7, ratio7, crc7, _, ok7 = gate 7 in
   let ok = ok42 && ok7 in
   say "  verdict:                     %s@." (if ok then "PASS" else "FAIL");
   let tenants =
@@ -1371,11 +1382,11 @@ let run_fleet () =
   in
   write_file "BENCH_fleet.json"
     (Printf.sprintf
-       {|{"bench":"fleet","volumes":%d,"hosts":2,"drives_per_host":4,"tenants":4,"bytes_per_volume":20000,"seeds":[42,7],"elapsed_s":%.6g,"payload_bytes":%d,"goodput_bytes_s":%.6g,"link_bound_bytes_s":%.6g,"bound_ratio":%.6g,"bound_ratio_seed7":%.6g,"tenant_goodput_bytes_s":{%s},"deterministic":%b,"pass":%b}
+       {|{"bench":"fleet","volumes":%d,"hosts":2,"drives_per_host":4,"tenants":4,"bytes_per_volume":20000,"seeds":[42,7],"elapsed_s":%.6g,"payload_bytes":%d,"goodput_bytes_s":%.6g,"link_bound_bytes_s":%.6g,"bound_ratio":%.6g,"bound_ratio_seed7":%.6g,"tenant_goodput_bytes_s":{%s},"tape_crc_digest":{"42":%d,"7":%d},"deterministic":%b,"pass":%b}
 |}
        volumes r42.Fleet.rp_elapsed r42.Fleet.rp_bytes
        r42.Fleet.rp_goodput_bytes_s r42.Fleet.rp_link_bound_bytes_s ratio42
-       ratio7 tenants det42 ok);
+       ratio7 tenants crc42 crc7 det42 ok);
   say "  [BENCH_fleet.json written]@.";
   ok
 

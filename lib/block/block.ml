@@ -11,6 +11,21 @@ let is_zero b =
     true
   with Nonzero -> false
 
+let xor_into dst src =
+  let n = Bytes.length dst in
+  if Bytes.length src < n then invalid_arg "Block.xor_into: src shorter than dst";
+  let words = n land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    Bytes.set_int64_ne dst !i
+      (Int64.logxor (Bytes.get_int64_ne dst !i) (Bytes.get_int64_ne src !i));
+    i := !i + 8
+  done;
+  for i = words to n - 1 do
+    Bytes.set dst i
+      (Char.unsafe_chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
+  done
+
 let check b =
   if Bytes.length b <> size then
     invalid_arg

@@ -15,6 +15,11 @@ val zero : unit -> bytes
 
 val is_zero : bytes -> bool
 
+val xor_into : bytes -> bytes -> unit
+(** [xor_into dst src] sets [dst.[i] <- dst.[i] lxor src.[i]] for every byte
+    of [dst], eight bytes at a time: the RAID-4 parity kernel. Raises
+    [Invalid_argument] if [src] is shorter than [dst]. *)
+
 val check : bytes -> unit
 (** Raises [Invalid_argument] unless the buffer is exactly one block. *)
 

@@ -33,18 +33,12 @@ let stripe_of_gbn t gbn =
     invalid_arg (Printf.sprintf "Raid %s: gbn %d out of range" t.label gbn);
   (gbn / data_disks t, gbn mod data_disks t)
 
-let xor_into dst src =
-  for i = 0 to Bytes.length dst - 1 do
-    Bytes.set dst i
-      (Char.chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
-  done
-
 (* Reconstruct disk [missing]'s block in [stripe] by xoring every other
    disk's block, parity included. *)
 let reconstruct t ~missing stripe =
   let acc = Block.zero () in
   Array.iteri
-    (fun i d -> if i <> missing then xor_into acc (Disk.read d stripe))
+    (fun i d -> if i <> missing then Block.xor_into acc (Disk.read d stripe))
     t.disks;
   acc
 
@@ -102,8 +96,8 @@ let rec write t gbn b =
     try
       let old_data = read_disk_repairing t di stripe in
       let parity = read_disk_repairing t (parity_index t) stripe in
-      xor_into parity old_data;
-      xor_into parity b;
+      Block.xor_into parity old_data;
+      Block.xor_into parity b;
       Disk.write data_disk stripe b;
       Disk.write parity_disk stripe parity
     with Disk.Disk_failed _ -> write t gbn b)
@@ -112,7 +106,7 @@ let rec write t gbn b =
        surviving data disks. *)
     let parity = Bytes.copy b in
     for i = 0 to data_disks t - 1 do
-      if i <> di then xor_into parity (Disk.read t.disks.(i) stripe)
+      if i <> di then Block.xor_into parity (Disk.read t.disks.(i) stripe)
     done;
     Disk.write parity_disk stripe parity
   | false, true -> Disk.write data_disk stripe b
@@ -124,7 +118,7 @@ let write_stripe t stripe data =
   if stripe < 0 || stripe >= stripes t then invalid_arg "Raid.write_stripe: bad stripe";
   Array.iter Block.check data;
   let parity = Block.zero () in
-  Array.iter (fun b -> xor_into parity b) data;
+  Array.iter (fun b -> Block.xor_into parity b) data;
   Array.iteri
     (fun i b -> if not (Disk.failed t.disks.(i)) then Disk.write t.disks.(i) stripe b)
     data;
@@ -144,7 +138,7 @@ let parity_consistent t =
   let ok = ref true in
   for stripe = 0 to stripes t - 1 do
     let acc = Block.zero () in
-    Array.iter (fun d -> xor_into acc (Disk.read d stripe)) t.disks;
+    Array.iter (fun d -> Block.xor_into acc (Disk.read d stripe)) t.disks;
     if not (Block.is_zero acc) then ok := false
   done;
   !ok

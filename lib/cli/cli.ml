@@ -115,11 +115,6 @@ let summary = Usage.summary
 
 (* --------------------------- observability --------------------------- *)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
 let obs_cmds = [ "backup"; "restore"; "fault"; "fleet" ]
 
 let trace_out_arg =
@@ -150,8 +145,8 @@ let run_with_obs ?trace_out ?metrics_out f =
   Fun.protect
     ~finally:(fun () ->
       Obs.disarm ();
-      Option.iter (fun p -> write_file p (Obs.chrome_trace o)) trace_out;
-      Option.iter (fun p -> write_file p (Obs.metrics_jsonl o)) metrics_out)
+      Option.iter (fun p -> Store.write_atomic p (Obs.chrome_trace o)) trace_out;
+      Option.iter (fun p -> Store.write_atomic p (Obs.metrics_jsonl o)) metrics_out)
     (fun () -> f o)
 
 (* Arm a plane only when some export was requested: the common path pays
@@ -189,7 +184,7 @@ let with_prof profile_out f =
     Fun.protect
       ~finally:(fun () ->
         Prof.disarm p;
-        write_file path (Prof.jsonl p))
+        Store.write_atomic path (Prof.jsonl p))
       (fun () -> Prof.with_armed p f)
 
 (* ------------------------------- args -------------------------------- *)
@@ -753,8 +748,8 @@ let cmd_analyze =
                 Obs.with_armed o (fun () -> report_entry (run_backup engine args));
                 let report = Analysis.analyze o in
                 Report.bottleneck Format.std_formatter report;
-                Option.iter (fun p -> write_file p (Analysis.to_json report)) out;
-                Option.iter (fun p -> write_file p (Analysis.series_csv o)) series_out;
+                Option.iter (fun p -> Store.write_atomic p (Analysis.to_json report)) out;
+                Option.iter (fun p -> Store.write_atomic p (Analysis.series_csv o)) series_out;
                 true)))
   in
   let out =
@@ -1298,7 +1293,7 @@ let cmd_mirror =
             let save_t t =
               let w = Serde.writer () in
               Repl.save w t;
-              write_file repl_path (Serde.contents w)
+              Store.write_atomic repl_path (Serde.contents w)
             in
             let show_transfer (x : Repl.transfer) =
               say "%s → %s: %s %s (%d bytes, %.2f s on the wire)" x.Repl.xfer_src
@@ -1528,7 +1523,7 @@ let cmd_fleet =
             in
             let w = Serde.writer () in
             Fleet.Status.save w status;
-            write_file status_path (Serde.contents w);
+            Store.write_atomic status_path (Serde.contents w);
             Fleet.pp_report Format.std_formatter report;
             if obs <> None then
               Slo.pp_journal Format.std_formatter report.Fleet.rp_alerts;
@@ -1544,7 +1539,7 @@ let cmd_fleet =
                           else None)
                         (Analysis.analyze o).Analysis.phases)
                 in
-                write_file path (Fleet.night_report ?verdict p report ~status);
+                Store.write_atomic path (Fleet.night_report ?verdict p report ~status);
                 say "night report: %s" path)
               report_out;
             say "fleet catalog: %s (%d/%d volumes)" status_path
@@ -1691,7 +1686,7 @@ let cmd_alerts =
                 let alerts = Slo.alerts e in
                 Slo.pp_journal Format.std_formatter alerts;
                 Option.iter
-                  (fun p -> write_file p (Slo.journal_json alerts))
+                  (fun p -> Store.write_atomic p (Slo.journal_json alerts))
                   out;
                 true)))
   in
@@ -1742,8 +1737,8 @@ let cmd_profile =
                 (* The summary goes to stderr so the wrapped command's
                    stdout stays clean for its own consumers. *)
                 Prof.pp_summary Format.err_formatter p;
-                Option.iter (fun path -> write_file path (Prof.jsonl p)) out;
-                Option.iter (fun path -> write_file path (Prof.folded p)) flame)
+                Option.iter (fun path -> Store.write_atomic path (Prof.jsonl p)) out;
+                Option.iter (fun path -> Store.write_atomic path (Prof.folded p)) flame)
               (fun () ->
                 Prof.with_armed p (fun () ->
                     !eval_argv (Array.of_list ("backupctl" :: args))))

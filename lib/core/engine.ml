@@ -464,14 +464,15 @@ let do_backup t ~strategy ~level ~subtree ?exclude ~drives:requested ~label
   in
   Option.iter Analysis.sampler_flush sampler;
   note_stats t stats;
-  List.iter
-    (fun (d, busy, _) ->
-      Obs.set_gauge (Printf.sprintf "scheduler.drive%d.busy_s" d) busy;
-      Obs.set_gauge
-        (Printf.sprintf "scheduler.drive%d.utilization" d)
-        (if stats.Scheduler.elapsed > 0.0 then busy /. stats.Scheduler.elapsed
-         else 0.0))
-    stats.Scheduler.per_drive;
+  if Obs.enabled () then
+    List.iter
+      (fun (d, busy, _) ->
+        Obs.set_gauge (Printf.sprintf "scheduler.drive%d.busy_s" d) busy;
+        Obs.set_gauge
+          (Printf.sprintf "scheduler.drive%d.utilization" d)
+          (if stats.Scheduler.elapsed > 0.0 then busy /. stats.Scheduler.elapsed
+           else 0.0))
+      stats.Scheduler.per_drive;
   Obs.annotate [ ("sim_elapsed_s", Obs.Float stats.Scheduler.elapsed) ];
   (match
      Array.to_list outcomes
@@ -599,8 +600,11 @@ let with_backup_span t ~strategy ~label ~resume k =
       ]
     (fun () ->
       let entry = k () in
-      Obs.set_gauge "fs.used_blocks" (Float.of_int (Fs.used_blocks t.e_fs));
-      Obs.set_gauge "fs.free_blocks" (Float.of_int (Fs.free_blocks t.e_fs));
+      (* both gauges scan every vbn; skip them when nothing records *)
+      if Obs.enabled () then begin
+        Obs.set_gauge "fs.used_blocks" (Float.of_int (Fs.used_blocks t.e_fs));
+        Obs.set_gauge "fs.free_blocks" (Float.of_int (Fs.free_blocks t.e_fs))
+      end;
       entry)
 
 let backup_job t (job : Job.t) =

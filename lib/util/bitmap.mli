@@ -1,9 +1,9 @@
 (** Fixed-size bit sets.
 
-    WAFL's block map is an array of bit planes: one [Bitmap.t] per snapshot
-    plus one for the active file system. Incremental image dump is the set
-    difference of two planes, so the set-algebra operations here are the
-    heart of the physical backup path. *)
+    A bit plane of WAFL's block map leaves the map as a [Bitmap.t]: the
+    active file system's blocks, a snapshot's blocks, or the difference of
+    two snapshots that an incremental image dump copies. The set-algebra
+    operations here combine them on the physical backup path. *)
 
 type t
 

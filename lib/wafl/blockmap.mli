@@ -1,4 +1,5 @@
-(** The block allocation map: 32 bit planes, one word per volume block.
+(** The block allocation map: one 32-bit word per volume block, bit [p]
+    of a block's word being plane [p].
 
     "WAFL's free block data structure contains 32 bits per block ... The
     live file system as well as each snapshot is allocated a bit plane; a
@@ -6,9 +7,11 @@
     live file system or any snapshot" (paper §2.1).
 
     Plane 0 is the active file system; planes 1–31 are assigned to
-    snapshots. The map is held in memory while mounted and serialized into
-    the block-map file (u32 little-endian word per vbn, 1024 words per
-    block) at every consistency point.
+    snapshots. While mounted the map is held in memory in its on-disk
+    layout, the block-map file's (u32 little-endian word per vbn, 1024
+    words per block), so testing or updating a block is one word access
+    and writing the file at a consistency point is a copy. A vbn argument
+    outside 0 ≤ vbn < nblocks raises [Invalid_argument].
 
     The incremental image dump of §4.1 is pure plane algebra, provided
     here: blocks in the new snapshot's plane but not the base's ([B \ A]),

@@ -1,0 +1,86 @@
+(* Reference block map: 32 separate bit planes, one [Bitmap.t] each, the
+   representation that Repro_wafl.Blockmap replaced with one u32 word per
+   block. Every operation is the per-bit original: [word] assembles a
+   block's word from 32 plane lookups and the block-map file is encoded
+   and loaded word by word. test_wafl runs random operation sequences on
+   this module and on Repro_wafl.Blockmap in lockstep and requires the
+   same answers and the same file bytes. Linked into every test
+   executable, like differential.ml; it is not itself a test. *)
+
+module Bitmap = Repro_util.Bitmap
+
+let nplanes = Repro_wafl.Layout.nplanes
+let words_per_block = 4096 / 4
+
+type t = { planes : Bitmap.t array; nblocks : int }
+
+let create ~nblocks =
+  if nblocks <= 0 then invalid_arg "Blockmap.create";
+  { planes = Array.init nplanes (fun _ -> Bitmap.create nblocks); nblocks }
+
+let nblocks t = t.nblocks
+let mark_allocated t vbn = Bitmap.set t.planes.(0) vbn
+let mark_free t vbn = Bitmap.clear t.planes.(0) vbn
+let in_active t vbn = Bitmap.get t.planes.(0) vbn
+let active_used t = Bitmap.count t.planes.(0)
+let active_plane t = Bitmap.copy t.planes.(0)
+
+let word t vbn =
+  let w = ref 0 in
+  for p = 0 to nplanes - 1 do
+    if Bitmap.get t.planes.(p) vbn then w := !w lor (1 lsl p)
+  done;
+  !w
+
+let is_free_block t vbn = word t vbn = 0
+
+let find_free t ?avoid ~start () =
+  let ok vbn =
+    is_free_block t vbn
+    && match avoid with Some a -> not (Bitmap.get a vbn) | None -> true
+  in
+  let rec scan vbn stop =
+    if vbn >= stop then None else if ok vbn then Some vbn else scan (vbn + 1) stop
+  in
+  let start = if start < 0 || start >= t.nblocks then 0 else start in
+  match scan start t.nblocks with Some v -> Some v | None -> scan 0 start
+
+let in_plane t ~plane vbn = Bitmap.get t.planes.(plane) vbn
+let plane_copy t p = Bitmap.copy t.planes.(p)
+let plane_used t p = Bitmap.count t.planes.(p)
+
+let capture_snapshot t ~plane =
+  if plane <= 0 || plane >= nplanes then invalid_arg "Blockmap.capture_snapshot";
+  let src = t.planes.(0) in
+  let dst = t.planes.(plane) in
+  Bitmap.fill dst false;
+  Bitmap.union_into ~dst src
+
+let clear_plane t p =
+  if p <= 0 || p >= nplanes then invalid_arg "Blockmap.clear_plane";
+  Bitmap.fill t.planes.(p) false
+
+let incremental_blocks t ~base ~target = Bitmap.diff t.planes.(target) t.planes.(base)
+
+let file_blocks ~nblocks = (nblocks + words_per_block - 1) / words_per_block
+
+let encode_file_block t lbn =
+  let b = Bytes.make 4096 '\000' in
+  let base = lbn * words_per_block in
+  for i = 0 to words_per_block - 1 do
+    let vbn = base + i in
+    if vbn < t.nblocks then Bytes.set_int32_le b (i * 4) (Int32.of_int (word t vbn))
+  done;
+  b
+
+let load_file_block t lbn block =
+  let base = lbn * words_per_block in
+  for i = 0 to words_per_block - 1 do
+    let vbn = base + i in
+    if vbn < t.nblocks then begin
+      let w = Int32.to_int (Bytes.get_int32_le block (i * 4)) land 0xffffffff in
+      for p = 0 to nplanes - 1 do
+        Bitmap.assign t.planes.(p) vbn (w land (1 lsl p) <> 0)
+      done
+    end
+  done

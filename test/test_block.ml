@@ -232,11 +232,118 @@ let prop_volume_batch_equals_singles =
       List.for_all (fun (vbn, _) -> Bytes.equal (Volume.read v1 vbn) (Volume.read v2 vbn)) writes
       && Volume.parity_consistent v1)
 
+(* ------------------------- the parity kernel ------------------------- *)
+
+(* The byte-at-a-time loop that Block.xor_into replaced: the reference for
+   the eight-bytes-at-a-time kernel. *)
+let xor_into_bytewise dst src =
+  for i = 0 to Bytes.length dst - 1 do
+    Bytes.set dst i (Char.chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
+  done
+
+let random_bytes rng n = Bytes.init n (fun _ -> Char.chr (Prng.int rng 256))
+
+let test_xor_kernel () =
+  let rng = Prng.create 7 in
+  for len = 0 to Block.size + 7 do
+    let dst = random_bytes rng len in
+    (* a longer src is allowed; only its first [len] bytes are folded in *)
+    let src = random_bytes rng (len + Prng.int rng 9) in
+    let src_before = Bytes.copy src in
+    let expect = Bytes.copy dst in
+    xor_into_bytewise expect src;
+    Block.xor_into dst src;
+    if not (Bytes.equal expect dst) then Alcotest.failf "length %d: xor differs" len;
+    if not (Bytes.equal src_before src) then Alcotest.failf "length %d: src changed" len
+  done;
+  List.iter
+    (fun len ->
+      try
+        Block.xor_into (Bytes.make len 'a') (Bytes.make (len - 1) 'b');
+        Alcotest.failf "src of %d bytes under a dst of %d accepted" (len - 1) len
+      with Invalid_argument _ -> ())
+    [ 1; 7; 8; 9; Block.size ]
+
+(* A random mix of read-modify-write, full-stripe and degraded writes (a
+   disk, parity included, fails for a few writes and is then rebuilt)
+   keeps parity consistent, every gbn reads back its last write, and
+   rebuilding any disk from the others gives back exactly its contents. *)
+type raid_op = Write of int * int | Stripe of int * int | Degraded of int * raid_op list
+
+let rec pp_raid_op = function
+  | Write (g, seed) -> Printf.sprintf "write %d seed %d" g seed
+  | Stripe (st, seed) -> Printf.sprintf "stripe %d seed %d" st seed
+  | Degraded (d, ops) ->
+    Printf.sprintf "degraded d%d [%s]" d (String.concat "; " (List.map pp_raid_op ops))
+
+let gen_raid_ops =
+  QCheck2.Gen.(
+    let healthy =
+      frequency
+        [
+          (3, map2 (fun g seed -> Write (g, seed)) (int_bound 127) nat);
+          (1, map2 (fun st seed -> Stripe (st, seed)) (int_bound 31) nat);
+        ]
+    in
+    list_size (int_range 1 30)
+      (frequency
+         [
+           (4, healthy);
+           ( 1,
+             map2
+               (fun d ops -> Degraded (d, ops))
+               (int_bound 4)
+               (list_size (int_range 1 6) healthy) );
+         ]))
+
+let prop_raid_parity =
+  QCheck2.Test.make ~count:60 ~name:"raid4: parity holds over mixed and degraded writes"
+    ~print:(fun ops -> String.concat "; " (List.map pp_raid_op ops))
+    gen_raid_ops (fun ops ->
+      let r = make_raid () in
+      let width = Raid.data_disks r in
+      let model = Array.init (Raid.data_blocks r) (fun _ -> Block.zero ()) in
+      let random_block seed = random_bytes (Prng.create seed) Block.size in
+      let rec apply = function
+        | Write (g, seed) ->
+          let b = random_block seed in
+          Raid.write r g b;
+          model.(g) <- b
+        | Stripe (st, seed) ->
+          let data = Array.init width (fun i -> random_block (seed + i)) in
+          Raid.write_stripe r st data;
+          Array.iteri (fun i b -> model.((st * width) + i) <- b) data
+        | Degraded (d, ops) ->
+          Raid.fail_disk r d;
+          List.iter apply ops;
+          Raid.rebuild_disk r d
+      in
+      List.iter apply ops;
+      checkb "parity consistent" true (Raid.parity_consistent r);
+      Array.iteri
+        (fun g b ->
+          if not (Bytes.equal b (Raid.read r g)) then Alcotest.failf "gbn %d reads wrong" g)
+        model;
+      Array.iteri
+        (fun i d ->
+          let before = Array.init (Raid.stripes r) (Disk.read d) in
+          Raid.rebuild_disk r i;
+          Array.iteri
+            (fun st b ->
+              if not (Bytes.equal b (Disk.read d st)) then
+                Alcotest.failf "disk %d stripe %d: reconstruction differs" i st)
+            before)
+        (Raid.disks r);
+      true)
+
 let () =
   Alcotest.run "block"
     [
       ( "block",
-        [ Alcotest.test_case "helpers" `Quick test_block_helpers ] );
+        [
+          Alcotest.test_case "helpers" `Quick test_block_helpers;
+          Alcotest.test_case "xor kernel equals bytewise reference" `Quick test_xor_kernel;
+        ] );
       ( "disk",
         [
           Alcotest.test_case "read/write" `Quick test_disk_read_write;
@@ -252,6 +359,7 @@ let () =
           Alcotest.test_case "stripe writes cheaper than RMW" `Quick
             test_raid_stripe_write_cheaper;
           Alcotest.test_case "double failure raises" `Quick test_raid_double_failure;
+          QCheck_alcotest.to_alcotest ~long:false prop_raid_parity;
         ] );
       ( "volume",
         [

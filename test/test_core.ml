@@ -317,6 +317,42 @@ let test_store_roundtrip () =
       | Ok () -> ()
       | Error d -> Alcotest.failf "mismatch: %s" (String.concat ";" d))
 
+(* Saving over an existing store goes through a sibling temp file and a
+   rename: the old bytes (here a junk file longer than any store) are
+   replaced whole, and the directory holds nothing else afterwards. *)
+let test_store_save_atomic () =
+  let dir = Filename.temp_file "backup_repro" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "filer.store" in
+  let read_all () = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let eng, fs = make_engine () in
+      ignore (Fs.create fs "/data/kept.txt" ~perms:0o640);
+      Fs.write fs "/data/kept.txt" ~offset:0 "replaced whole";
+      Repro_backup.Store.save ~path eng;
+      let junk = String.make (String.length (read_all ()) + 4096) 'x' in
+      Repro_backup.Store.write_atomic path junk;
+      checks "junk written" junk (read_all ());
+      Repro_backup.Store.save ~path eng;
+      let saved = read_all () in
+      checkb "no junk tail" false (String.ends_with ~suffix:(String.make 4096 'x') saved);
+      Alcotest.(check (array string)) "no temp file" [| "filer.store" |] (Sys.readdir dir);
+      let fs2 = Engine.fs (Repro_backup.Store.load ~path ()) in
+      checks "store loads" "replaced whole" (Fs.read fs2 "/data/kept.txt" ~offset:0 ~len:14);
+      (* a failed write leaves the old file alone and no temp file behind *)
+      (try
+         Repro_backup.Store.write_atomic (Filename.concat path "not-a-dir") "x";
+         Alcotest.fail "write under a regular file accepted"
+       with Sys_error _ -> ());
+      checks "old file intact" saved (read_all ());
+      Alcotest.(check (array string)) "still no temp file" [| "filer.store" |]
+        (Sys.readdir dir))
+
 (* ----------------------------- instrument ---------------------------- *)
 
 let test_instrument_collect () =
@@ -486,6 +522,7 @@ let () =
           Alcotest.test_case "incremental needs full" `Quick
             test_engine_incremental_without_full;
           Alcotest.test_case "store persistence round trip" `Quick test_store_roundtrip;
+          Alcotest.test_case "store save replaces atomically" `Quick test_store_save_atomic;
         ] );
       ( "instrument",
         [

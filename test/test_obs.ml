@@ -314,6 +314,22 @@ let test_backup_trace_structure () =
   checkb "counter events" true (contains json "\"ph\":\"C\"");
   checkb "utilization series exported" true (contains json "backup.util.")
 
+(* A backup under an armed plane publishes the volume's block gauges and
+   each drive's busy time; the engine computes them only then. *)
+let test_backup_gauges () =
+  let eng, fs = make_engine () in
+  let obs = Obs.create () in
+  Obs.with_armed obs (fun () ->
+      ignore (backup eng ~strategy:Strategy.Logical ~subtree:"/data" ()));
+  let gauge name =
+    match Obs.gauge_value obs name with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "gauge %s missing" name
+  in
+  checki "fs.used_blocks" (Fs.used_blocks fs) (gauge "fs.used_blocks");
+  checki "fs.free_blocks" (Fs.free_blocks fs) (gauge "fs.free_blocks");
+  checkb "drive busy time" true (Obs.gauge_value obs "scheduler.drive0.busy_s" <> None)
+
 let test_fault_correlation () =
   let clock = Clock.create () in
   let eng, _ = make_engine ~clock () in
@@ -416,6 +432,7 @@ let () =
         [
           ("backup trace structure", `Quick, test_backup_trace_structure);
           ("fault journal correlation", `Quick, test_fault_correlation);
+          ("backup gauges when armed", `Quick, test_backup_gauges);
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_identical_seeds_identical_exports ] );

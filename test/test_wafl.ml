@@ -742,9 +742,143 @@ let suite =
     ("randomized crash consistency", `Slow, test_crash_consistency_randomized);
   ]
 
+(* Lockstep oracle for the block map: random operation sequences run on
+   the word-per-block map and on the 32-plane reference (Blockmap_ref)
+   must give the same word for every vbn, the same planes, free-block
+   search, incremental set and block-map file bytes, and must reject the
+   same out-of-range arguments. Sizes include ones that are not multiples
+   of 8 (a bitmap byte) or 1024 (a block-map file block). *)
+type bm_op = Alloc of int | Free of int | Capture of int | Clear of int | Load of int * int
+
+let pp_bm_op = function
+  | Alloc v -> Printf.sprintf "alloc %d" v
+  | Free v -> Printf.sprintf "free %d" v
+  | Capture p -> Printf.sprintf "capture %d" p
+  | Clear p -> Printf.sprintf "clear %d" p
+  | Load (l, seed) -> Printf.sprintf "load %d seed %d" l seed
+
+let gen_bm_case =
+  QCheck2.Gen.(
+    let* nblocks =
+      oneof [ oneofl [ 1; 7; 8; 9; 1023; 1024; 1025; 2051 ]; int_range 1 3000 ]
+    in
+    (* one past each end: the out-of-range arguments *)
+    let vbn = int_range (-1) nblocks in
+    let plane = int_range 0 Blockmap.nplanes in
+    let op =
+      frequency
+        [
+          (6, map (fun v -> Alloc v) vbn);
+          (3, map (fun v -> Free v) vbn);
+          (1, map (fun p -> Capture p) plane);
+          (1, map (fun p -> Clear p) plane);
+          ( 1,
+            map2
+              (fun l seed -> Load (l, seed))
+              (int_bound (Blockmap.file_blocks ~nblocks))
+              nat );
+        ]
+    in
+    let* ops = list_size (int_bound 200) op in
+    let* probe = nat in
+    return (nblocks, ops, probe))
+
+let print_bm_case (nblocks, ops, probe) =
+  Printf.sprintf "nblocks %d probe %d: %s" nblocks probe
+    (String.concat "; " (List.map pp_bm_op ops))
+
+(* A file block of random words, about half of them zero. *)
+let random_map_block seed =
+  let rng = Prng.create seed in
+  let b = Bytes.make 4096 '\000' in
+  for i = 0 to Blockmap.words_per_block - 1 do
+    if Prng.bool rng then Bytes.set_int32_le b (i * 4) (Int64.to_int32 (Prng.int64 rng))
+  done;
+  b
+
+let prop_blockmap_lockstep =
+  QCheck2.Test.make ~count:150 ~name:"word block map agrees with 32-plane reference"
+    ~print:print_bm_case gen_bm_case (fun (nblocks, ops, probe) ->
+      let module R = Blockmap_ref in
+      let bm = Blockmap.create ~nblocks and rf = R.create ~nblocks in
+      let same name f g =
+        let run h = match h () with v -> Ok v | exception Invalid_argument _ -> Error () in
+        if run f <> run g then Alcotest.failf "%s differs" name
+      in
+      let bitmap_same name a b =
+        if not (Repro_util.Bitmap.equal a b) then Alcotest.failf "%s differs" name
+      in
+      List.iter
+        (fun op ->
+          let name = pp_bm_op op in
+          match op with
+          | Alloc v ->
+            same name
+              (fun () -> Blockmap.mark_allocated bm v)
+              (fun () -> R.mark_allocated rf v)
+          | Free v ->
+            same name (fun () -> Blockmap.mark_free bm v) (fun () -> R.mark_free rf v)
+          | Capture p ->
+            same name
+              (fun () -> Blockmap.capture_snapshot bm ~plane:p)
+              (fun () -> R.capture_snapshot rf ~plane:p)
+          | Clear p ->
+            same name (fun () -> Blockmap.clear_plane bm p) (fun () -> R.clear_plane rf p)
+          | Load (l, seed) ->
+            let b = random_map_block seed in
+            Blockmap.load_file_block bm l b;
+            R.load_file_block rf l b)
+        ops;
+      for vbn = -1 to nblocks do
+        same (Printf.sprintf "word %d" vbn)
+          (fun () -> Blockmap.word bm vbn)
+          (fun () -> R.word rf vbn);
+        same (Printf.sprintf "is_free_block %d" vbn)
+          (fun () -> Blockmap.is_free_block bm vbn)
+          (fun () -> R.is_free_block rf vbn);
+        same (Printf.sprintf "in_active %d" vbn)
+          (fun () -> Blockmap.in_active bm vbn)
+          (fun () -> R.in_active rf vbn)
+      done;
+      for p = 0 to Blockmap.nplanes - 1 do
+        bitmap_same (Printf.sprintf "plane %d" p) (Blockmap.plane_copy bm p)
+          (R.plane_copy rf p);
+        checki (Printf.sprintf "plane %d used" p) (R.plane_used rf p)
+          (Blockmap.plane_used bm p);
+        let target = (p + 1 + (probe mod Blockmap.nplanes)) mod Blockmap.nplanes in
+        bitmap_same
+          (Printf.sprintf "incremental %d -> %d" p target)
+          (Blockmap.incremental_blocks bm ~base:p ~target)
+          (R.incremental_blocks rf ~base:p ~target)
+      done;
+      checki "active used" (R.active_used rf) (Blockmap.active_used bm);
+      bitmap_same "active plane" (Blockmap.active_plane bm) (R.active_plane rf);
+      let avoid = Repro_util.Bitmap.create nblocks in
+      let rng = Prng.create probe in
+      for vbn = 0 to nblocks - 1 do
+        if Prng.int rng 4 = 0 then Repro_util.Bitmap.set avoid vbn
+      done;
+      List.iter
+        (fun start ->
+          List.iter
+            (fun avoid ->
+              if Blockmap.find_free bm ?avoid ~start () <> R.find_free rf ?avoid ~start ()
+              then Alcotest.failf "find_free from %d differs" start)
+            [ None; Some avoid ])
+        [ -1; 0; probe mod nblocks; nblocks - 1; nblocks ];
+      for lbn = 0 to Blockmap.file_blocks ~nblocks do
+        if not (Bytes.equal (Blockmap.encode_file_block bm lbn) (R.encode_file_block rf lbn))
+        then Alcotest.failf "file block %d differs" lbn
+      done;
+      true)
+
 let () =
   Alcotest.run "wafl"
     [
       ("fs", suite);
-      ("properties", [ QCheck_alcotest.to_alcotest ~long:false prop_file_model ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_file_model;
+          QCheck_alcotest.to_alcotest ~long:false prop_blockmap_lockstep;
+        ] );
     ]
