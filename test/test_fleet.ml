@@ -391,6 +391,88 @@ let test_fleet_trace_series () =
      let rec go i = i + kn <= n && (String.sub csv i kn = k || go (i + 1)) in
      go 0)
 
+(* ----------------------- the plane's read path ------------------------ *)
+
+(* An armed 48-volume deadline night hit by a drive storm: every 8th
+   volume carries a deadline that some of them miss, and two drives die once
+   ten volumes are done. Everything read back from the plane afterwards
+   is a pure function of this seed. *)
+let armed_storm_night ~volumes =
+  let spec =
+    Spec.synth ~seed:42 ~volumes ~hosts:2 ~drives_per_host:4 ~tenants:4
+      ~bytes_per_volume:20_000 ~deadline_every:8 ~deadline_s:0.3 ()
+  in
+  let storm =
+    {
+      Fleet.storm_after = volumes / 5;
+      storm_drives = 2;
+      storm_abort_after = None;
+      storm_seed = 42;
+    }
+  in
+  let plane = Obs.create () in
+  ignore (Obs.with_armed plane (fun () -> Fleet.run ~storm (Fleet.plan spec)));
+  (spec, plane)
+
+let digest name s =
+  Printf.sprintf "%s bytes=%d crc32=%08x\n" name (String.length s)
+    (Repro_util.Crc32.string s)
+
+(* The series CSV runs to 17 k rows, so the golden keeps one line per
+   series instead: its row count and the CRC-32 of its rows. A drift
+   names the series that moved; the whole-file digest pins the bytes. *)
+let csv_index csv =
+  let rows =
+    match String.split_on_char '\n' csv with
+    | _header :: rows -> List.filter (fun r -> r <> "") rows
+    | [] -> []
+  in
+  let series_of r = String.sub r 0 (String.index r ',') in
+  let rec groups acc = function
+    | [] -> List.rev acc
+    | r :: _ as rows ->
+      let name = series_of r in
+      let mine, rest =
+        List.partition (fun r -> series_of r = name) rows
+      in
+      groups (digest name (String.concat "\n" mine) :: acc) rest
+  in
+  String.concat "" (groups [] rows) ^ digest "series_csv" csv
+
+(* Every reader of the plane that a night report or an export goes
+   through, in one text: the analysis report, the series CSV, the
+   replayed alert journal, and the size and CRC-32 of the two
+   whole-plane exports. *)
+let read_path_text spec plane =
+  let e = Slo.create ~rules:(Fleet.builtin_rules spec) plane in
+  Slo.replay e;
+  String.concat ""
+    [
+      "# analysis\n";
+      Analysis.to_json (Analysis.analyze plane);
+      "# series_csv\n";
+      csv_index (Analysis.series_csv plane);
+      "# replayed journal\n";
+      Slo.journal_json (Slo.alerts e);
+      "\n# exports\n";
+      digest "chrome_trace" (Obs.chrome_trace plane);
+      digest "series_jsonl" (Obs.series_jsonl plane);
+    ]
+
+(* On drift the actual text lands next to the test binary as
+   fleet_obs.golden.actual, ready to diff or copy over the golden. *)
+let test_read_path_golden () =
+  let spec, plane = armed_storm_night ~volumes:48 in
+  let actual = read_path_text spec plane in
+  let golden = In_channel.with_open_bin "fleet_obs.golden" In_channel.input_all in
+  if not (String.equal golden actual) then begin
+    Out_channel.with_open_bin "fleet_obs.golden.actual" (fun oc ->
+        output_string oc actual);
+    Alcotest.fail
+      "plane read path drifted from test/fleet_obs.golden (actual text in \
+       fleet_obs.golden.actual)"
+  end
+
 let () =
   Alcotest.run "fleet"
     [
@@ -417,5 +499,10 @@ let () =
           Alcotest.test_case "fleet.* gauges and series" `Quick test_obs_gauges;
           Alcotest.test_case "sampler and series over a fleet trace" `Quick
             test_fleet_trace_series;
+        ] );
+      ( "read path",
+        [
+          Alcotest.test_case "armed storm night matches golden" `Quick
+            test_read_path_golden;
         ] );
     ]
