@@ -101,11 +101,12 @@ let classify usage =
     else Balanced
 
 (* Mean/peak busy fractions per class from the <prefix>.util.<key>
-   series. Within the tape class each key is one drive of the pool, so
-   the class mean is the mean across drives (a half-idle pool reads
-   0.5); the other classes are single shared resources per key, so the
-   class takes the busiest key. *)
-let usage_of obs ~prefix =
+   series, found in the plane's series [names]. Within the tape class
+   each key is one drive of the pool, so the class mean is the mean
+   across drives (a half-idle pool reads 0.5); the other classes are
+   single shared resources per key, so the class takes the busiest
+   key. *)
+let usage_of obs ~names ~prefix =
   let p = prefix ^ ".util." in
   let keyed =
     List.filter_map
@@ -123,7 +124,7 @@ let usage_of obs ~prefix =
               Some (cls, (sum /. n, peak)))
           | None -> None
         else None)
-      (Obs.series_names obs)
+      names
   in
   List.filter_map
     (fun cls ->
@@ -199,8 +200,7 @@ let seconds_of_demands demands =
   in
   sum_by_class classed
 
-let critical_path obs =
-  let evs = Obs.events obs in
+let critical_path_of evs =
   (* Span tree: parents from B events, part spans by name. *)
   let parent = Hashtbl.create 64 in
   let part_spans = Hashtbl.create 16 in
@@ -366,10 +366,12 @@ let critical_path obs =
 (* ------------------------------------------------------------------ *)
 (* The report                                                          *)
 
+let critical_path obs = critical_path_of (Obs.events obs)
+
 (* Phase elapsed: the engine span's closing sim_elapsed_s annotation,
    falling back to the critical path's last finish, then to the last
    sample time of the phase's series. *)
-let elapsed_of obs ~prefix ~path =
+let elapsed_of obs ~evs ~names ~prefix ~path =
   let from_span =
     List.fold_left
       (fun acc (e : Obs.event) ->
@@ -378,7 +380,7 @@ let elapsed_of obs ~prefix ~path =
           | Some s -> Some s
           | None -> acc
         else acc)
-      None (Obs.events obs)
+      None evs
   in
   match from_span with
   | Some s -> s
@@ -393,17 +395,20 @@ let elapsed_of obs ~prefix ~path =
           if starts_with ~prefix:p name then
             List.fold_left (fun a (ts, _) -> Float.max a ts) acc (Obs.series obs name)
           else acc)
-        0.0 (Obs.series_names obs))
+        0.0 names)
 
+(* One listing of the series and one copy of the events serve all three
+   phases. *)
 let analyze obs =
+  let names = Obs.series_names obs and evs = Obs.events obs in
   let phases =
     List.filter_map
       (fun name ->
-        match usage_of obs ~prefix:name with
+        match usage_of obs ~names ~prefix:name with
         | [] -> None
         | usage ->
-          let path = if name = "backup" then critical_path obs else None in
-          let elapsed = elapsed_of obs ~prefix:name ~path in
+          let path = if name = "backup" then critical_path_of evs else None in
+          let elapsed = elapsed_of obs ~evs ~names ~prefix:name ~path in
           let path =
             (* Re-express the percentages against the phase elapsed. *)
             Option.map
@@ -504,7 +509,6 @@ let dr obs =
       Obs.series_names obs
       |> List.filter (fun n ->
              String.length n > plen && String.sub n 0 plen = lag_prefix)
-      |> List.sort Obs.nat_compare
       |> List.map (fun n ->
              (String.sub n plen (String.length n - plen), Obs.series obs n))
     in

@@ -28,6 +28,16 @@ type open_span = { os_id : int; os_name : string; mutable os_attrs : attr list }
 
 type ser = { mutable pts : (int * float) list (* newest first, ts in us *) }
 
+(* The derived device series as of [dm_nevs] events: busy microseconds
+   per bin under each dev.<device>.busy name, by name and in
+   nat_compare order. *)
+type dev_memo = {
+  dm_nevs : int;
+  dm_width : float; (* bin width, microseconds *)
+  dm_busy : (string, float array) Hashtbl.t;
+  dm_sorted : (string * float array) list;
+}
+
 type t = {
   clock : Clock.t option;
   mutable on : bool;
@@ -39,6 +49,7 @@ type t = {
   mutable unbalanced_ends : int;
   metrics : (string, metric) Hashtbl.t;
   ser_tbl : (string, ser) Hashtbl.t;
+  mutable dev_memo : dev_memo option;
 }
 
 let create ?clock ?(enabled = true) () =
@@ -53,6 +64,7 @@ let create ?clock ?(enabled = true) () =
     unbalanced_ends = 0;
     metrics = Hashtbl.create 64;
     ser_tbl = Hashtbl.create 16;
+    dev_memo = None;
   }
 
 (* Natural (numeric-aware) string order: digit runs compare as numbers,
@@ -420,88 +432,110 @@ let series_bins = 64
 (* Fixed-interval per-device busy-fraction timelines derived from the
    recorded X (device op) events: the device layers' Obs.io calls are
    the sampling hook. Retry backoff X events are idle waiting, not
-   device occupancy, so they are excluded. *)
-let device_series t =
-  let xs =
-    List.filter
-      (fun e ->
-        e.ph = X && e.dur > 0
-        && not
-             (String.length e.ev_name >= 6 && String.sub e.ev_name 0 6 = "retry."))
-      (events t)
+   device occupancy, so they are excluded. Events are only ever
+   appended, so the derivation is built at most once per event count
+   and kept in the plane; the bins are accumulated in emission order,
+   which fixes the float sums. *)
+let build_dev_memo t =
+  let is_busy e =
+    e.ph = X && e.dur > 0
+    && not (String.length e.ev_name >= 6 && String.sub e.ev_name 0 6 = "retry.")
   in
-  if xs = [] then []
-  else begin
-    let tend =
-      List.fold_left (fun acc e -> Stdlib.max acc (e.ts + e.dur)) 0 xs
-    in
-    if tend <= 0 then []
-    else begin
-      let w = Float.of_int tend /. Float.of_int series_bins in
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun e ->
-          let device =
-            match List.assoc_opt "device" e.attrs with
-            | Some (Str d) -> d
-            | _ -> "unknown"
-          in
-          let arr =
-            match Hashtbl.find_opt tbl device with
-            | Some a -> a
-            | None ->
-              let a = Array.make series_bins 0.0 in
-              Hashtbl.add tbl device a;
-              a
-          in
-          let t0 = Float.of_int e.ts and t1 = Float.of_int (e.ts + e.dur) in
-          let b0 = Stdlib.max 0 (Float.to_int (t0 /. w))
-          and b1 =
-            Stdlib.min (series_bins - 1) (Float.to_int ((t1 -. 1e-9) /. w))
-          in
-          for bin = b0 to b1 do
-            let lo = w *. Float.of_int bin and hi = w *. Float.of_int (bin + 1) in
-            let ov = Float.min hi t1 -. Float.max lo t0 in
-            if ov > 0.0 then arr.(bin) <- arr.(bin) +. ov
-          done)
-        xs;
-      Hashtbl.fold
-        (fun device arr acc ->
-          let pts =
-            Array.to_list
-              (Array.mapi
-                 (fun bin busy ->
-                   (w *. Float.of_int bin /. 1e6, Float.min 1.0 (busy /. w)))
-                 arr)
-          in
-          (Printf.sprintf "dev.%s.busy" device, pts) :: acc)
-        tbl []
-      |> List.sort (fun (a, _) (b, _) -> nat_compare a b)
-    end
-  end
+  let xs = List.rev (List.filter is_busy t.evs) in
+  let tend = List.fold_left (fun acc e -> Stdlib.max acc (e.ts + e.dur)) 0 xs in
+  let by_device = Hashtbl.create 8 in
+  let w = Float.of_int tend /. Float.of_int series_bins in
+  if tend > 0 then
+    List.iter
+      (fun e ->
+        let device =
+          match List.assoc_opt "device" e.attrs with
+          | Some (Str d) -> d
+          | _ -> "unknown"
+        in
+        let arr =
+          match Hashtbl.find_opt by_device device with
+          | Some a -> a
+          | None ->
+            let a = Array.make series_bins 0.0 in
+            Hashtbl.add by_device device a;
+            a
+        in
+        let t0 = Float.of_int e.ts and t1 = Float.of_int (e.ts + e.dur) in
+        let b0 = Stdlib.max 0 (Float.to_int (t0 /. w))
+        and b1 = Stdlib.min (series_bins - 1) (Float.to_int ((t1 -. 1e-9) /. w)) in
+        for bin = b0 to b1 do
+          let lo = w *. Float.of_int bin and hi = w *. Float.of_int (bin + 1) in
+          let ov = Float.min hi t1 -. Float.max lo t0 in
+          if ov > 0.0 then arr.(bin) <- arr.(bin) +. ov
+        done)
+      xs;
+  let busy = Hashtbl.create (Hashtbl.length by_device) in
+  Hashtbl.iter
+    (fun device arr -> Hashtbl.add busy (Printf.sprintf "dev.%s.busy" device) arr)
+    by_device;
+  let sorted =
+    Hashtbl.fold (fun n a acc -> (n, a) :: acc) busy []
+    |> List.sort (fun (a, _) (b, _) -> nat_compare a b)
+  in
+  { dm_nevs = t.nevs; dm_width = w; dm_busy = busy; dm_sorted = sorted }
 
-let recorded_series t =
-  Hashtbl.fold
-    (fun name s acc ->
-      ( name,
-        List.rev_map (fun (ts, v) -> (Float.of_int ts /. 1e6, v)) s.pts )
-      :: acc)
-    t.ser_tbl []
-  |> List.sort (fun (a, _) (b, _) -> nat_compare a b)
+let dev_memo t =
+  match t.dev_memo with
+  | Some m when m.dm_nevs = t.nevs -> m
+  | Some _ | None ->
+    let m = build_dev_memo t in
+    t.dev_memo <- Some m;
+    m
 
-let all_series t =
-  List.sort
-    (fun (a, _) (b, _) -> nat_compare a b)
-    (recorded_series t @ device_series t)
+let dev_points m busy =
+  let w = m.dm_width in
+  List.init series_bins (fun bin ->
+      (w *. Float.of_int bin /. 1e6, Float.min 1.0 (busy.(bin) /. w)))
+
+let recorded_points s =
+  List.rev_map (fun (ts, v) -> (Float.of_int ts /. 1e6, v)) s.pts
+
+(* Only a dev.<device>.busy name can be derived; any other miss is
+   answered without touching the events. *)
+let derivable name =
+  let n = String.length name in
+  n >= 9 && String.sub name 0 4 = "dev." && String.sub name (n - 5) 5 = ".busy"
 
 let series t name =
-  match List.assoc_opt name (recorded_series t) with
-  | Some pts -> pts
-  | None -> ( match List.assoc_opt name (device_series t) with
-    | Some pts -> pts
+  match Hashtbl.find_opt t.ser_tbl name with
+  | Some s -> recorded_points s
+  | None when derivable name -> (
+    let m = dev_memo t in
+    match Hashtbl.find_opt m.dm_busy name with
+    | Some busy -> dev_points m busy
     | None -> [])
+  | None -> []
 
-let series_names t = List.map fst (all_series t)
+(* Every series in nat_compare order, each with a thunk for its points.
+   A recorded series lists before a derived one of the same name (both
+   are listed; a lookup by name finds the recorded one). *)
+let listing t =
+  let m = dev_memo t in
+  let recorded =
+    Hashtbl.fold
+      (fun name s acc -> (name, fun () -> recorded_points s) :: acc)
+      t.ser_tbl []
+    |> List.sort (fun (a, _) (b, _) -> nat_compare a b)
+  in
+  let derived =
+    List.map (fun (name, busy) -> (name, fun () -> dev_points m busy)) m.dm_sorted
+  in
+  List.merge (fun (a, _) (b, _) -> nat_compare a b) recorded derived
+
+let series_names t = List.map fst (listing t)
+
+let all_series t = List.map (fun (name, points) -> (name, points ())) (listing t)
+
+(* A cut given in seconds rounds to the nearest microsecond: a point's
+   own time, read back as ts / 1e6, can land a hair below ts when
+   multiplied out again, and truncating it would skip the point. *)
+let us_of_s s = Float.to_int (Float.round (s *. 1e6))
 
 (* Points live newest-first, so the latest point (or the latest at or
    before a cutoff) is reachable without materializing the series. *)
@@ -509,7 +543,7 @@ let series_last t ?at name =
   match Hashtbl.find_opt t.ser_tbl name with
   | None -> None
   | Some s ->
-    let cut = match at with Some a -> Float.to_int (a *. 1e6) | None -> max_int in
+    let cut = match at with Some a -> us_of_s a | None -> max_int in
     let rec newest = function
       | [] -> None
       | (ts, v) :: rest ->
@@ -521,7 +555,7 @@ let series_since t ~t0 name =
   match Hashtbl.find_opt t.ser_tbl name with
   | None -> []
   | Some s ->
-    let lo = Float.to_int (t0 *. 1e6) in
+    let lo = us_of_s t0 in
     let rec collect acc = function
       | (ts, v) :: rest when ts >= lo ->
         collect ((Float.of_int ts /. 1e6, v) :: acc) rest

@@ -185,19 +185,34 @@ val series : t -> string -> (float * float) list
 (** Points of a time series as [(simulated seconds, value)], in
     recording order. Besides series recorded via {!sample}, per-device
     busy-fraction timelines derived from the recorded device ops are
-    available under [dev.<device>.busy]. Empty if the name is unknown. *)
+    available under [dev.<device>.busy]; a recorded series of the same
+    name shadows the derived one. Empty if the name is unknown.
+
+    Costs time in proportion to the points returned: a recorded name is
+    one table lookup. The derived series are built from the events at
+    most once per event count and kept in the plane, so a run of
+    lookups between recordings derives them once; a miss on a name
+    that is not of the [dev.<device>.busy] form never touches the
+    events. *)
 
 val series_names : t -> string list
-(** All series (recorded and derived), in {!nat_compare} order. *)
+(** All series (recorded and derived), in {!nat_compare} order; a
+    recorded series that shadows a derived one is listed twice, the
+    recorded one first. Builds no points: the cost is sorting the
+    recorded names, plus deriving the device series if the events
+    changed since they were last derived. *)
 
 val series_last : t -> ?at:float -> string -> (float * float) option
 (** The newest recorded point of a series, or the newest point at or
-    before [at] simulated seconds when given. O(1) for the common
+    before [at] simulated seconds when given. The cut rounds [at] to
+    the nearest microsecond, so a point's own time as returned here
+    (microseconds / 1e6) always finds that point. O(1) for the common
     monotone-append case ({!Slo} polls series this way on every
     scheduler interval); derived [dev.*] series are not consulted. *)
 
 val series_since : t -> t0:float -> string -> (float * float) list
-(** Recorded points with timestamp [>= t0], oldest first — the sliding
+(** Recorded points with timestamp [>= t0] (rounded to the nearest
+    microsecond, like [series_last]'s cut), oldest first — the sliding
     window a burn-rate rule evaluates over. Walks newest-first and stops
     at the first point before [t0], so the cost is proportional to the
     window, not the series. *)

@@ -1,7 +1,9 @@
 (* Fleet control-plane tests: typed spec validation and parse errors,
    render/parse round-trips, plan determinism and queue ordering, the
    FLT1 fleet catalog, backup windows, tenant budget throttling, storm +
-   resume recovery, and fleet.* obs coverage. The fleet-granularity
+   resume recovery, fleet.* obs coverage, and the plane's read path over
+   an armed storm night (a golden and a linear-growth bound on the words
+   a replay plus an analysis allocate). The fleet-granularity
    byte-identity qcheck property lives with the differential suite
    (test_differential.ml). *)
 
@@ -393,10 +395,10 @@ let test_fleet_trace_series () =
 
 (* ----------------------- the plane's read path ------------------------ *)
 
-(* An armed 48-volume deadline night hit by a drive storm: every 8th
-   volume carries a deadline that some of them miss, and two drives die once
-   ten volumes are done. Everything read back from the plane afterwards
-   is a pure function of this seed. *)
+(* An armed deadline night hit by a drive storm: every 8th volume
+   carries a deadline that some of them miss, and two drives die once a
+   fifth of the volumes are done. Everything read back from the plane
+   afterwards is a pure function of this seed. *)
 let armed_storm_night ~volumes =
   let spec =
     Spec.synth ~seed:42 ~volumes ~hosts:2 ~drives_per_host:4 ~tenants:4
@@ -432,9 +434,7 @@ let csv_index csv =
     | [] -> List.rev acc
     | r :: _ as rows ->
       let name = series_of r in
-      let mine, rest =
-        List.partition (fun r -> series_of r = name) rows
-      in
+      let mine, rest = List.partition (fun r -> series_of r = name) rows in
       groups (digest name (String.concat "\n" mine) :: acc) rest
   in
   String.concat "" (groups [] rows) ^ digest "series_csv" csv
@@ -473,6 +473,28 @@ let test_read_path_golden () =
        fleet_obs.golden.actual)"
   end
 
+(* Reading a plane costs in proportion to what it returns, so the words
+   that an SLO replay and a bottleneck analysis allocate grow linearly
+   with the night: 4x the volumes is about 4x the words. Allocation is
+   deterministic, unlike host time, so the bound is exact run to run. A
+   read path that rebuilds every series per lookup allocates about 9x. *)
+let test_read_path_scales_linearly () =
+  let words volumes =
+    let spec, plane = armed_storm_night ~volumes in
+    let before = Gc.minor_words () in
+    let e = Slo.create ~rules:(Fleet.builtin_rules spec) plane in
+    Slo.replay e;
+    ignore (Analysis.analyze plane);
+    Gc.minor_words () -. before
+  in
+  let small = words 32 and large = words 128 in
+  let ratio = large /. small in
+  if ratio > 6.0 then
+    Alcotest.failf
+      "replay + analyze allocated %.0f words at 32 volumes and %.0f at 128 \
+       (%.1fx, bound 6x)"
+      small large ratio
+
 let () =
   Alcotest.run "fleet"
     [
@@ -504,5 +526,7 @@ let () =
         [
           Alcotest.test_case "armed storm night matches golden" `Quick
             test_read_path_golden;
+          Alcotest.test_case "replay and analyze scale linearly" `Quick
+            test_read_path_scales_linearly;
         ] );
     ]

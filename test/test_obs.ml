@@ -1,9 +1,10 @@
 (* Tests for the observability plane: log2 histogram bucketing edges,
    span nesting and unbalanced exits, the Chrome trace of a real backup
    (nested engine -> part -> stage -> device I/O, balanced B/E pairs),
-   fault-journal correlation through retry attempt spans, and the qcheck
+   fault-journal correlation through retry attempt spans, the qcheck
    property that identical workload+fault seeds export byte-identical
-   traces and metrics. *)
+   traces and metrics, and the lockstep property of the series read path
+   against the rebuild-everything reference in test/obs_ref.ml. *)
 
 module Obs = Repro_obs.Obs
 module Fault = Repro_fault.Fault
@@ -407,6 +408,88 @@ let prop_identical_seeds_identical_exports =
       let t2, m2 = run () in
       String.equal t1 t2 && String.equal m1 m2)
 
+(* ------------------------ series read path --------------------------- *)
+
+(* Random recordings applied to an armed plane and to the build-everything
+   reference (test/obs_ref.ml) in lockstep: samples, some at explicit
+   out-of-order times; device ops, retry waits and zero-length ops
+   included; a recorded dev.d0.busy that shadows the derived series of
+   the same name; bare instants that move the event count without adding
+   a device op. A [Read] anywhere in the sequence compares every read
+   there and then, so a derived-series memo that outlives the events it
+   was built from shows up as a mismatch. *)
+type rec_op =
+  | Sample of string * float option * float
+  | Io of string * string * float
+  | Advance of float
+  | Instant
+  | Read
+
+let pp_rec_op = function
+  | Sample (n, at, v) ->
+    Printf.sprintf "sample %s%s %g" n
+      (match at with Some a -> Printf.sprintf " ~at:%g" a | None -> "")
+      v
+  | Io (op, dev, d) -> Printf.sprintf "io %s %s %g" op dev d
+  | Advance d -> Printf.sprintf "advance %g" d
+  | Instant -> "instant"
+  | Read -> "read"
+
+let gen_rec_op =
+  let open QCheck2.Gen in
+  let name = oneofl [ "a"; "a2"; "a10"; "util.x"; "dev.d0.busy"; "x.9" ] in
+  let device = oneofl [ "d0"; "d1"; "d10"; "stacker2" ] in
+  let op = oneofl [ "disk.read"; "tape.write"; "retry.backoff"; "retry.wait" ] in
+  let secs = map (fun us -> Float.of_int us /. 1e6) (int_range 0 5000) in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun n at v -> Sample (n, at, v))
+          name (opt secs) (float_range (-2.0) 2.0) );
+      (4, map3 (fun o d s -> Io (o, d, s)) op device secs);
+      (1, map (fun s -> Advance s) secs);
+      (1, pure Instant);
+      (2, pure Read);
+    ]
+
+let prop_series_match_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"series reads agree with the rebuild-everything reference"
+    ~print:(fun ops -> String.concat "; " (List.map pp_rec_op ops))
+    QCheck2.Gen.(list_size (int_range 0 60) gen_rec_op)
+    (fun ops ->
+      let plane = Obs.create () and model = Obs_ref.create () in
+      let agree () =
+        let names = Obs_ref.series_names model in
+        Obs.series_names plane = names
+        && List.for_all
+             (fun n -> Obs.series plane n = Obs_ref.series model n)
+             ("nope" :: "dev.zz.busy" :: names)
+        && String.equal (Obs.series_jsonl plane) (Obs_ref.series_jsonl model)
+      in
+      Obs.with_armed plane (fun () ->
+          List.for_all
+            (function
+              | Sample (n, at, v) ->
+                Obs.sample ?at n v;
+                Obs_ref.sample model ?at n v;
+                true
+              | Io (op, device, d) ->
+                Obs.io ~op ~device ~bytes:512 d;
+                Obs_ref.io model ~op ~device d;
+                true
+              | Advance d ->
+                Obs.advance d;
+                Obs_ref.advance model d;
+                true
+              | Instant ->
+                Obs.instant "mark";
+                true
+              | Read -> agree ())
+            ops)
+      && agree ())
+
 let () =
   Alcotest.run "obs"
     [
@@ -421,7 +504,10 @@ let () =
       ( "naming",
         [ ("natural metric order", `Quick, test_nat_compare) ] );
       ( "series",
-        [ ("recorded and derived series", `Quick, test_series_recording) ] );
+        [
+          ("recorded and derived series", `Quick, test_series_recording);
+          QCheck_alcotest.to_alcotest ~long:false prop_series_match_reference;
+        ] );
       ( "spans",
         [
           ("nesting and instants", `Quick, test_span_nesting);

@@ -192,6 +192,39 @@ let test_replay () =
     (Slo.journal_json (Slo.alerts e))
     (Slo.journal_json (Slo.alerts e3))
 
+(* Replay evaluates at each point's own time, read back as ts / 1e6 s. For
+   ts = 249 us that is 0.000249, and 0.000249 * 1e6 is 248.99999999999997:
+   a cut that truncated it would skip the point at its own time, and the
+   miss would resolve only at the next point. *)
+let test_replay_point_at_own_time () =
+  let p = Obs.create () in
+  (* the float just above 249e-6 records at exactly 249 us *)
+  let done_at = Float.succ (249.0 /. 1e6) in
+  Obs.with_armed p (fun () ->
+      Obs.sample ~at:0.0 "done" 0.0;
+      Obs.sample ~at:done_at "done" 1.0;
+      Obs.sample ~at:0.001 "done" 1.0);
+  Alcotest.(check (option (pair (float 0.0) (float 0.0))))
+    "series_last at the point's own read-back time finds it"
+    (Some (249.0 /. 1e6, 1.0))
+    (Obs.series_last p ~at:(249.0 /. 1e6) "done");
+  checki "series_since from the point's own time includes it" 2
+    (List.length (Obs.series_since p ~t0:(249.0 /. 1e6) "done"));
+  let e =
+    Slo.create
+      ~rules:
+        [
+          Slo.rule ~name:"late"
+            (Slo.Deadline { series = "done"; target = 1.0; by_s = 0.0001 });
+        ]
+      p
+  in
+  Slo.replay e;
+  Alcotest.(check (list (triple string string (float 1e-12))))
+    "the miss resolves at the completing point"
+    [ ("late", "firing", 0.0001); ("late", "resolved", 249.0 /. 1e6) ]
+    (alerts_of e)
+
 (* --------------------------- fleet night ------------------------------ *)
 
 (* A night whose every-other volume carries a deadline far too tight for
@@ -353,6 +386,8 @@ let () =
           Alcotest.test_case "absence and deadline" `Quick
             test_absence_and_deadline;
           Alcotest.test_case "post-hoc replay" `Quick test_replay;
+          Alcotest.test_case "replay reads a point at its own time" `Quick
+            test_replay_point_at_own_time;
         ] );
       ( "fleet",
         [
