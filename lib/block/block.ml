@@ -26,6 +26,25 @@ let xor_into dst src =
       (Char.unsafe_chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
   done
 
+let xor3_into dst a b c =
+  let n = Bytes.length dst in
+  if Bytes.length a < n || Bytes.length b < n || Bytes.length c < n then
+    invalid_arg "Block.xor3_into: source shorter than dst";
+  let words = n land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    Bytes.set_int64_ne dst !i
+      (Int64.logxor (Bytes.get_int64_ne a !i)
+         (Int64.logxor (Bytes.get_int64_ne b !i) (Bytes.get_int64_ne c !i)));
+    i := !i + 8
+  done;
+  for i = words to n - 1 do
+    Bytes.set dst i
+      (Char.unsafe_chr
+         (Char.code (Bytes.get a i) lxor Char.code (Bytes.get b i)
+        lxor Char.code (Bytes.get c i)))
+  done
+
 let check b =
   if Bytes.length b <> size then
     invalid_arg

@@ -20,6 +20,12 @@ val xor_into : bytes -> bytes -> unit
     of [dst], eight bytes at a time: the RAID-4 parity kernel. Raises
     [Invalid_argument] if [src] is shorter than [dst]. *)
 
+val xor3_into : bytes -> bytes -> bytes -> bytes -> unit
+(** [xor3_into dst a b c] sets [dst.[i] <- a.[i] lxor b.[i] lxor c.[i]] for
+    every byte of [dst] in one pass: the read-modify-write parity update.
+    [dst] may be one of the sources. Raises [Invalid_argument] if a source
+    is shorter than [dst]. *)
+
 val check : bytes -> unit
 (** Raises [Invalid_argument] unless the buffer is exactly one block. *)
 

@@ -7,7 +7,7 @@ exception Disk_failed of string
 type t = {
   label : string;
   params : params;
-  data : bytes option array;
+  data : bytes array; (* the disk's own blocks; [Bytes.empty] = never written *)
   resource : Repro_sim.Resource.t option;
   service_scale : float;
   mutable is_failed : bool;
@@ -24,7 +24,7 @@ let create ?resource ?(service_scale = 1.0) ~label params =
   {
     label;
     params;
-    data = Array.make params.blocks None;
+    data = Array.make params.blocks Bytes.empty;
     resource;
     service_scale;
     is_failed = false;
@@ -82,12 +82,19 @@ let hook t f =
     t.is_failed <- true;
     raise (Disk_failed t.label)
 
-let read t dbn =
+(* What an unwritten block reads as through {!read_borrowed}: shared, so
+   never handed out for mutation. *)
+let zeros = Block.zero ()
+
+let read_borrowed t dbn =
   check_access t dbn;
   hook t (fun () -> Repro_fault.Fault.on_disk_read ~device:t.label ~addr:dbn);
   t.reads <- t.reads + 1;
   charge t ~op:"disk.read" dbn Block.size;
-  match t.data.(dbn) with Some b -> Bytes.copy b | None -> Block.zero ()
+  let b = t.data.(dbn) in
+  if Bytes.length b = 0 then zeros else b
+
+let read t dbn = Bytes.copy (read_borrowed t dbn)
 
 let write t dbn b =
   Block.check b;
@@ -95,7 +102,9 @@ let write t dbn b =
   hook t (fun () -> Repro_fault.Fault.on_disk_write ~device:t.label ~addr:dbn);
   t.writes <- t.writes + 1;
   charge t ~op:"disk.write" dbn Block.size;
-  t.data.(dbn) <- Some (Bytes.copy b)
+  let slot = t.data.(dbn) in
+  if Bytes.length slot = 0 then t.data.(dbn) <- Bytes.copy b
+  else Bytes.blit b 0 slot 0 Block.size
 
 let fail t = t.is_failed <- true
 let failed t = t.is_failed
@@ -103,7 +112,7 @@ let failed t = t.is_failed
 let revive t =
   t.is_failed <- false;
   t.head <- -1;
-  Array.fill t.data 0 (Array.length t.data) None
+  Array.fill t.data 0 (Array.length t.data) Bytes.empty
 
 let busy_seconds t = t.busy
 let bytes_moved t = t.bytes

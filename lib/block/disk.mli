@@ -10,7 +10,17 @@
 
     Service time is charged to an optional shared {!Repro_sim.Resource.t}
     (scaled by [service_scale], so a volume can normalize per-disk busy time
-    into whole-array utilization) and to per-disk counters. *)
+    into whole-array utilization) and to per-disk counters.
+
+    {b Block ownership.} The disk owns the blocks it stores. {!write}
+    copies the caller's buffer into the disk's own slot (allocating the
+    slot on the first write to an address, blitting into it afterwards),
+    so the caller may reuse its buffer as soon as [write] returns. {!read}
+    returns a fresh copy the caller owns. {!read_borrowed} returns the
+    stored block itself, without a copy: the caller must not mutate it,
+    and its contents are valid only until the next write to the same
+    address (or a {!revive}). The two reads charge, count and fault
+    exactly alike. *)
 
 type params = {
   blocks : int;  (** capacity in 4 KB blocks *)
@@ -41,8 +51,15 @@ val read : t -> int -> bytes
     [Repro_fault.Fault.Transient] (timeout); a plane-scheduled drive death
     fails the disk and raises [Disk_failed]. *)
 
+val read_borrowed : t -> int -> bytes
+(** [read_borrowed d dbn] is {!read} without the copy: the stored block, or
+    a shared all-zero block if [dbn] was never written. Same failure
+    contract, same charge and counters. The result is read-only and valid
+    until the next {!write} to [dbn]. *)
+
 val write : t -> int -> bytes -> unit
-(** Same failure contract as {!read}: [Disk_failed] on a failed drive,
+(** [write d dbn b] stores a copy of [b]; the disk never keeps [b] itself.
+    Same failure contract as {!read}: [Disk_failed] on a failed drive,
     [Invalid_argument] on a bad address. A successful write clears any
     injected latent sector error at that address (the RAID repair
     path). *)

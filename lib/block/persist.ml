@@ -14,7 +14,8 @@ let write w vol =
   let nonzero = ref [] in
   let count = ref 0 in
   for vbn = 0 to Volume.size_blocks vol - 1 do
-    let b = Volume.read vol vbn in
+    (* borrowed: nothing writes the volume before [b] is serialized *)
+    let b = Volume.read_borrowed vol vbn in
     if not (Block.is_zero b) then begin
       nonzero := (vbn, b) :: !nonzero;
       incr count

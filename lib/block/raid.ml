@@ -5,6 +5,7 @@ type t = {
   label : string;
   disks : Disk.t array;
   blocks_per_disk : int;
+  scratch : bytes; (* parity under construction for RMW and degraded writes *)
   mutable media_repairs : int;
 }
 
@@ -18,7 +19,7 @@ let create ?resource ?(service_scale = 1.0) ~label ~ndisks ~blocks_per_disk para
           ~label:(Printf.sprintf "%s.d%d" label i)
           params)
   in
-  { label; disks; blocks_per_disk; media_repairs = 0 }
+  { label; disks; blocks_per_disk; scratch = Block.zero (); media_repairs = 0 }
 
 let label t = t.label
 let ndisks t = Array.length t.disks
@@ -33,12 +34,12 @@ let stripe_of_gbn t gbn =
     invalid_arg (Printf.sprintf "Raid %s: gbn %d out of range" t.label gbn);
   (gbn / data_disks t, gbn mod data_disks t)
 
-(* Reconstruct disk [missing]'s block in [stripe] by xoring every other
-   disk's block, parity included. *)
+(* Reconstruct disk [missing]'s block in [stripe] into a fresh block by
+   xoring every other disk's block, parity included. *)
 let reconstruct t ~missing stripe =
   let acc = Block.zero () in
   Array.iteri
-    (fun i d -> if i <> missing then Block.xor_into acc (Disk.read d stripe))
+    (fun i d -> if i <> missing then Block.xor_into acc (Disk.read_borrowed d stripe))
     t.disks;
   acc
 
@@ -49,10 +50,11 @@ let reconstruct t ~missing stripe =
      block from the surviving disks and rewrite it in place, which remaps
      the bad sector. A second fault during reconstruction propagates —
      that block is genuinely lost.
-   Transient timeouts pass through untouched; retry is the engine's job. *)
+   Transient timeouts pass through untouched; retry is the engine's job.
+   The read is borrowed; a reconstructed block is fresh. *)
 let read_disk_repairing t di stripe =
   let disk = t.disks.(di) in
-  match Disk.read disk stripe with
+  match Disk.read_borrowed disk stripe with
   | b -> b
   | exception Disk.Disk_failed _ -> reconstruct t ~missing:di stripe
   | exception Fault.Media_error { device; addr } ->
@@ -72,15 +74,17 @@ let read_disk_repairing t di stripe =
         t.media_repairs <- t.media_repairs + 1;
         Obs.count "raid.media_repairs" 1;
         Fault.note_repair ~device ~addr;
-        Bytes.copy b)
+        b)
 
 let media_repairs t = t.media_repairs
 
-let read t gbn =
+let read_borrowed t gbn =
   let stripe, di = stripe_of_gbn t gbn in
   let disk = t.disks.(di) in
   if Disk.failed disk then reconstruct t ~missing:di stripe
   else read_disk_repairing t di stripe
+
+let read t gbn = Bytes.copy (read_borrowed t gbn)
 
 let rec write t gbn b =
   Block.check b;
@@ -89,26 +93,27 @@ let rec write t gbn b =
   let parity_disk = t.disks.(parity_index t) in
   match (Disk.failed data_disk, Disk.failed parity_disk) with
   | false, false -> (
-    (* Read-modify-write: parity ^= old_data ^ new_data. A drive dying
-       mid-RMW re-dispatches through the degraded cases; nothing has been
-       written yet when the data write fails, and a lost parity write lands
-       in the same state as the parity-dead case. *)
+    (* Read-modify-write: parity ^= old_data ^ new_data, built in the
+       scratch block from borrowed reads, which stay valid until the data
+       write. A drive dying mid-RMW re-dispatches through the degraded
+       cases; nothing has been written yet when the data write fails, and
+       a lost parity write lands in the same state as the parity-dead
+       case. *)
     try
       let old_data = read_disk_repairing t di stripe in
       let parity = read_disk_repairing t (parity_index t) stripe in
-      Block.xor_into parity old_data;
-      Block.xor_into parity b;
+      Block.xor3_into t.scratch parity old_data b;
       Disk.write data_disk stripe b;
-      Disk.write parity_disk stripe parity
+      Disk.write parity_disk stripe t.scratch
     with Disk.Disk_failed _ -> write t gbn b)
   | true, false ->
     (* Degraded write: fold the new data into parity computed from the
        surviving data disks. *)
-    let parity = Bytes.copy b in
+    Bytes.blit b 0 t.scratch 0 Block.size;
     for i = 0 to data_disks t - 1 do
-      if i <> di then Block.xor_into parity (Disk.read t.disks.(i) stripe)
+      if i <> di then Block.xor_into t.scratch (Disk.read_borrowed t.disks.(i) stripe)
     done;
-    Disk.write parity_disk stripe parity
+    Disk.write parity_disk stripe t.scratch
   | false, true -> Disk.write data_disk stripe b
   | true, true -> raise (Disk.Disk_failed t.label)
 
@@ -117,7 +122,8 @@ let write_stripe t stripe data =
     invalid_arg "Raid.write_stripe: wrong data width";
   if stripe < 0 || stripe >= stripes t then invalid_arg "Raid.write_stripe: bad stripe";
   Array.iter Block.check data;
-  let parity = Block.zero () in
+  let parity = t.scratch in
+  Bytes.fill parity 0 Block.size '\000';
   Array.iter (fun b -> Block.xor_into parity b) data;
   Array.iteri
     (fun i b -> if not (Disk.failed t.disks.(i)) then Disk.write t.disks.(i) stripe b)
@@ -136,9 +142,10 @@ let rebuild_disk t i =
 
 let parity_consistent t =
   let ok = ref true in
+  let acc = Block.zero () in
   for stripe = 0 to stripes t - 1 do
-    let acc = Block.zero () in
-    Array.iter (fun d -> Block.xor_into acc (Disk.read d stripe)) t.disks;
+    Bytes.fill acc 0 Block.size '\000';
+    Array.iter (fun d -> Block.xor_into acc (Disk.read_borrowed d stripe)) t.disks;
     if not (Block.is_zero acc) then ok := false
   done;
   !ok

@@ -41,8 +41,16 @@ val read : t -> int -> bytes
     itself only on a double fault (a media error with another disk already
     missing). *)
 
+val read_borrowed : t -> int -> bytes
+(** {!read} without the copy on the healthy path: the data disk's stored
+    block (see {!Disk.read_borrowed}), read-only and valid until the next
+    write to [gbn] or a rebuild of its disk. A reconstructed or repaired block is fresh.
+    Same faults, charges and counters as {!read}. *)
+
 val write : t -> int -> bytes -> unit
-(** Read-modify-write parity update (up to 4 disk I/Os). Media errors on
+(** Read-modify-write parity update (up to 4 disk I/Os), built from
+    borrowed reads in a per-group scratch block. The group keeps no
+    reference to the caller's buffer. Media errors on
     the pre-read are repaired as in {!read}; a drive dying mid-operation
     falls back to the degraded write path. *)
 

@@ -57,6 +57,10 @@ let read t vbn =
   let g, gbn = locate t vbn in
   Raid.read g gbn
 
+let read_borrowed t vbn =
+  let g, gbn = locate t vbn in
+  Raid.read_borrowed g gbn
+
 let write t vbn b =
   let g, gbn = locate t vbn in
   Raid.write g gbn b
@@ -65,7 +69,7 @@ let read_extent t vbn n =
   if n <= 0 then invalid_arg "Volume.read_extent";
   let buf = Bytes.create (n * Block.size) in
   for i = 0 to n - 1 do
-    Bytes.blit (read t (vbn + i)) 0 buf (i * Block.size) Block.size
+    Bytes.blit (read_borrowed t (vbn + i)) 0 buf (i * Block.size) Block.size
   done;
   buf
 

@@ -7,7 +7,15 @@
     scaled by [1 / total_disks], so resource utilization reads as
     whole-array busy fraction. This matches the fluid pipeline model under
     dump-style read-ahead, which keeps all spindles busy when the workload
-    allows (paper §3: NetApp's dump generates its own read-ahead policy). *)
+    allows (paper §3: NetApp's dump generates its own read-ahead policy).
+
+    {b Block ownership.} Blocks are 4 KB [bytes], and the member disks own
+    what they store (see {!Disk}). Writes ({!write}, {!write_batch}) copy
+    the caller's buffers into the disks, so a caller may reuse or mutate a
+    buffer once the call returns. {!read} and {!read_extent} return fresh
+    buffers the caller owns. {!read_borrowed} returns the stored block
+    without a copy: read-only, and valid only until the next write to that
+    vbn. Use it where a block is decoded or copied onward at once. *)
 
 type geometry = {
   groups : int;
@@ -38,6 +46,13 @@ val resource : t -> Repro_sim.Resource.t
 val raid_groups : t -> Raid.t array
 
 val read : t -> Block.addr -> bytes
+(** A fresh copy of block [vbn]. *)
+
+val read_borrowed : t -> Block.addr -> bytes
+(** Block [vbn] without the copy (see {!Raid.read_borrowed}): the caller
+    must not mutate it, and it is valid only until the next write to
+    [vbn]. Same faults, charges and counters as {!read}. *)
+
 val write : t -> Block.addr -> bytes -> unit
 
 val read_extent : t -> Block.addr -> int -> bytes

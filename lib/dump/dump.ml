@@ -27,7 +27,9 @@ let p_file = Repro_prof.Prof.probe "dump.file_header"
 let c_files = Repro_prof.Prof.counter "dump.file_headers"
 
 (* Serialize a bitmap and write it as whole 4 KB data blocks after a Map
-   header. *)
+   header. Here and below, a block the dump built or was handed as a fresh
+   copy is never changed after output, so it goes to the sink without a
+   [Bytes.to_string] copy. *)
 let emit_map sink ~map_kind ~inodes bitmap =
   let w = Serde.writer () in
   Bitmap.write w bitmap;
@@ -39,7 +41,7 @@ let emit_map sink ~map_kind ~inodes bitmap =
     let len = Stdlib.min Spec.data_block_size (String.length payload - off) in
     let block = Bytes.make Spec.data_block_size '\000' in
     Bytes.blit_string payload off block 0 len;
-    Tapeio.output sink (Bytes.to_string block)
+    Tapeio.output sink (Bytes.unsafe_to_string block)
   done
 
 (* Raw hole-map bytes: bit lbn set iff the block is present. *)
@@ -51,7 +53,7 @@ let presence_bytes present nblocks =
       Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lor (1 lsl (lbn land 7))))
     end
   done;
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 (* Emit the File header (plus Addr continuations if the hole map is large),
    then return the list of present lbns in order. *)
@@ -220,7 +222,7 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
             let blen = Stdlib.min Spec.data_block_size (len - off) in
             let block = Bytes.make Spec.data_block_size '\000' in
             Bytes.blit_string content off block 0 blen;
-            Tapeio.output sink (Bytes.to_string block)
+            Tapeio.output sink (Bytes.unsafe_to_string block)
           done;
           incr dirs_dumped)
         dir_inos);
@@ -255,7 +257,7 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
                 (fun block ->
                   charge cpu
                     (Float.of_int Spec.data_block_size *. costs.Cost.dump_format_per_byte);
-                  Tapeio.output sink (Bytes.to_string block))
+                  Tapeio.output sink (Bytes.unsafe_to_string block))
                 blocks;
               incr files_dumped
             | exception Repro_fault.Fault.Media_error { device; _ } ->

@@ -48,14 +48,14 @@ let file_header_capacity ~xattrs =
 let addr_capacity = header_size - 32
 
 let seal w =
-  let body = Serde.contents w in
-  if String.length body + 4 > header_size then
+  if Serde.writer_length w + 4 > header_size then
     invalid_arg "Spec.encode: header overflow";
   let b = Bytes.make header_size '\000' in
-  Bytes.blit_string body 0 b 0 (String.length body);
+  Serde.blit_contents w b 0;
   let crc = Crc32.substring (Bytes.unsafe_to_string b) 0 (header_size - 4) in
   Bytes.set_int32_le b (header_size - 4) (Int32.of_int crc);
-  Bytes.to_string b
+  (* [b] is ours alone and never changes again *)
+  Bytes.unsafe_to_string b
 
 (* One warm writer for all headers (encode completes before returning,
    so sharing is safe) and one shared zeroed block map for the

@@ -677,7 +677,7 @@ let exec_volume (v : Spec.volume) =
     | None -> 0.0
   in
   let tape =
-    let w = Serde.writer () in
+    let w = Serde.writer ~initial_size:(Library.saved_size lib) () in
     Library.save w lib;
     Serde.contents w
   in

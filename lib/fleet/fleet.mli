@@ -220,6 +220,14 @@ val builtin_rules : Spec.t -> Repro_obs.Slo.rule list
     [repl.rto_s] bounds (1 hour) that only see data when a DR drill
     shares the plane. *)
 
+val exec_volume : Spec.volume -> int * float * string
+(** One volume's work at admission, outside the scheduler: a fresh
+    volume and [Fs.mkfs], [Generator.populate] to the volume's byte
+    target, a level-0 logical [Engine.backup_job] of [/data] to a fresh
+    stacker, and [Library.save]. Returns the dump's payload bytes, its
+    simulated elapsed seconds and the saved stacker (the bytes whose
+    CRC-32 the catalog records). {!run} calls it for every volume. *)
+
 val run :
   ?storm:storm ->
   ?resume:Status.t ->

@@ -70,17 +70,16 @@ type record = Extent of { vbn : int; data : string } | Trailer of { fsinfo : str
 let tag_extent = 1
 let tag_trailer = 2
 
-let encode_extent ~vbn ~data =
+let extent_header ~vbn ~data =
   let n = String.length data / block_size in
   if String.length data mod block_size <> 0 || n = 0 || n > max_extent_blocks then
-    invalid_arg "Format.encode_extent";
+    invalid_arg "Format.extent_header";
   let open Serde in
-  let w = writer ~initial_size:(String.length data + 16) () in
+  let w = writer ~initial_size:16 () in
   write_u8 w tag_extent;
   write_u32 w vbn;
   write_u16 w n;
   write_u32 w (Crc32.string data);
-  write_fixed w data;
   contents w
 
 let encode_trailer ~fsinfo =

@@ -45,7 +45,11 @@ type record =
 val max_extent_blocks : int
 (** 64. *)
 
-val encode_extent : vbn:int -> data:string -> string
+val extent_header : vbn:int -> data:string -> string
+(** An extent record is this header followed by [data] itself (whole
+    blocks, at most {!max_extent_blocks}): a stream writer outputs the two
+    strings one after the other and copies neither. *)
+
 val encode_trailer : fsinfo:string -> string
 val read_record : (int -> string) -> record
 (** [read_record input] where [input n] yields exactly [n] bytes. *)

@@ -87,6 +87,12 @@ let save w t =
   write_u16 w (Array.length t.written);
   Array.iter (fun m -> Tape.write_media w m) t.written
 
+let saved_size t =
+  Array.fold_left
+    (fun n m -> n + Tape.media_saved_size m)
+    (5 + 4 + String.length t.label + 24 + 4)
+    t.written
+
 let load r =
   let open Repro_util.Serde in
   expect_magic r "RLIB1";

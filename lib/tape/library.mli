@@ -51,6 +51,10 @@ val save : Repro_util.Serde.writer -> t -> unit
 (** Persist the stacker: drive parameters, written cartridges, and the
     count of remaining blanks. *)
 
+val saved_size : t -> int
+(** The exact number of bytes {!save} appends: size a writer with it
+    ([Serde.writer ~initial_size]) and the save never regrows it. *)
+
 val load : Repro_util.Serde.reader -> t
 (** Raises [Serde.Corrupt] on malformed input. The loaded stacker has no
     cartridge in the drive; reading starts with {!rewind_to_start}, new

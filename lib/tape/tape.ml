@@ -9,7 +9,10 @@ let params ?(native_mb_s = 5.0) ?(compression = 1.7)
     invalid_arg "Tape.params";
   { native_mb_s; compression; capacity_bytes }
 
-type item = Rec of bytes | Mark
+(* A record is an immutable string: the drive keeps the very string it was
+   given and hands the same one back on read, with no copy either way.
+   [corrupt_record] swaps in a damaged copy instead of writing into it. *)
+type item = Rec of string | Mark
 
 type media = {
   mlabel : string;
@@ -68,11 +71,17 @@ let write_media w m =
   for i = 0 to m.nitems - 1 do
     match m.items.(i) with
     | Mark -> write_u8 w 0
-    | Rec b ->
+    | Rec s ->
       write_u8 w 1;
-      write_u32 w (Bytes.length b);
-      write_bytes w b
+      write_string w s
   done
+
+let media_saved_size m =
+  let n = ref (5 + 4 + String.length m.mlabel + 4 + 8) in
+  for i = 0 to m.nitems - 1 do
+    match m.items.(i) with Mark -> incr n | Rec s -> n := !n + 5 + String.length s
+  done;
+  !n
 
 let read_media r =
   let open Repro_util.Serde in
@@ -85,8 +94,7 @@ let read_media r =
         match read_u8 r with
         | 0 -> Mark
         | 1 ->
-          let len = read_u32 r in
-          Rec (Bytes.of_string (read_fixed r len))
+          Rec (read_string r)
         | n -> raise (Corrupt (Printf.sprintf "bad media item tag %d" n)))
   in
   { mlabel; items; nitems; stored_bytes }
@@ -125,7 +133,7 @@ let charge t ~op ~payload ~on_media =
     Repro_obs.Obs.io ~op ~device:t.label ~addr:t.pos ~bytes:payload secs
 
 let item_size t = function
-  | Rec b -> compressed_size t (Bytes.length b)
+  | Rec s -> compressed_size t (String.length s)
   | Mark -> 0
 
 (* Truncate media at the current position: writing to the middle of a tape
@@ -158,7 +166,7 @@ let write_record t s =
   if m.stored_bytes + on_media > t.p.capacity_bytes then raise End_of_tape;
   Repro_fault.Fault.on_tape_write ~device:t.label ~record:t.pos;
   charge t ~op:"tape.write" ~payload:(String.length s) ~on_media;
-  append t m (Rec (Bytes.of_string s))
+  append t m (Rec s)
 
 let write_filemark t =
   let m = require_media t in
@@ -184,10 +192,10 @@ let read_record t =
     t.pos <- t.pos + 1;
     match item with
     | Mark -> Filemark
-    | Rec b ->
-      charge t ~op:"tape.read" ~payload:(Bytes.length b)
-        ~on_media:(compressed_size t (Bytes.length b));
-      Record (Bytes.to_string b)
+    | Rec s ->
+      charge t ~op:"tape.read" ~payload:(String.length s)
+        ~on_media:(compressed_size t (String.length s));
+      Record s
   end
 
 let charge_delay t secs =
@@ -221,23 +229,23 @@ let position t = t.pos
 
 let corrupt_record m ~index =
   let found = ref (-1) in
-  let target = ref None in
+  let target = ref (-1) in
   (try
      for i = 0 to m.nitems - 1 do
        match m.items.(i) with
-       | Rec b ->
+       | Rec _ ->
          incr found;
          if !found = index then begin
-           target := Some b;
+           target := i;
            raise Exit
          end
        | Mark -> ()
      done
    with Exit -> ());
-  match !target with
-  | None -> invalid_arg (Printf.sprintf "Tape.corrupt_record: no record %d" index)
-  | Some b ->
-    if Bytes.length b = 0 then invalid_arg "Tape.corrupt_record: empty record";
+  match if !target < 0 then Mark else m.items.(!target) with
+  | Rec s ->
+    if String.length s = 0 then invalid_arg "Tape.corrupt_record: empty record";
+    let b = Bytes.of_string s in
     (* Flip bits at a few fixed offsets: deterministic, detectable. *)
     let flip off =
       if off < Bytes.length b then
@@ -245,7 +253,9 @@ let corrupt_record m ~index =
     in
     flip (Bytes.length b / 2);
     flip (Bytes.length b - 1);
-    flip 0
+    flip 0;
+    m.items.(!target) <- Rec (Bytes.unsafe_to_string b)
+  | _ -> invalid_arg (Printf.sprintf "Tape.corrupt_record: no record %d" index)
 
 let busy_seconds t = t.busy
 let bytes_moved t = t.bytes

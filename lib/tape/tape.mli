@@ -8,7 +8,7 @@
     DLT-7000's hardware compressor (the paper's drives sustain roughly
     8–10 MB/s on compressible file data against a 5 MB/s native rate).
 
-    Records can be corrupted in place ({!corrupt_record}) to drive the
+    Records can be corrupted ({!corrupt_record}) to drive the
     failure-injection tests: logical restore must lose only the damaged
     file, image restore must detect the damaged block record. *)
 
@@ -47,6 +47,9 @@ val resource : t -> Repro_sim.Resource.t
 
 val write_media : Repro_util.Serde.writer -> media -> unit
 (** Serialize a cartridge (records and filemarks) for off-line storage. *)
+
+val media_saved_size : media -> int
+(** The exact number of bytes {!write_media} appends. *)
 
 val read_media : Repro_util.Serde.reader -> media
 

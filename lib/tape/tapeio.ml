@@ -8,12 +8,19 @@ let c_stream_bytes = Repro_prof.Prof.counter "tape.bytes_streamed"
 
 type backend = { be_put : string -> unit; be_mark : unit -> unit }
 
-(* The fast stage is a reused [Bytes] with an explicit length: full
-   records are emitted straight from it by offset and the remainder is
-   blitted back to the front, instead of the reference Buffer's
-   contents-copy + sub + re-add round trip per record. Which stage a
-   sink gets is decided once, at creation (Repro_util.Refpath). *)
-type fast_stage = { mutable stage : Bytes.t; mutable len : int }
+(* The fast stage keeps the output strings themselves, oldest first, with
+   the count of bytes of the oldest already sent: strings never change, so
+   staging needs no copy and reserves nothing. Each record is built once,
+   at its exact length, straight from the staged strings. The reference
+   Buffer instead does a contents-copy + sub + re-add round trip per
+   record. Which stage a sink gets is decided once, at creation
+   (Repro_util.Refpath). *)
+type fast_stage = {
+  parts : string Queue.t;
+  mutable sent : int; (* bytes of the oldest part already in a record *)
+  mutable len : int; (* staged bytes not yet in a record *)
+}
+
 type stage = Fast of fast_stage | Reference of Buffer.t
 
 type sink = {
@@ -43,7 +50,7 @@ let sink_to ?(record_bytes = default_record_bytes) be =
   let st =
     if Repro_util.Refpath.enabled () then
       Reference (Buffer.create record_bytes)
-    else Fast { stage = Bytes.create (2 * record_bytes); len = 0 }
+    else Fast { parts = Queue.create (); sent = 0; len = 0 }
   in
   { be; record_bytes; st; written = 0 }
 
@@ -59,28 +66,31 @@ let[@inline never] reference_output t buf s =
       (String.length all - t.record_bytes)
   done
 
+(* Send the oldest [n] staged bytes ([n <= f.len]) as one record. *)
+let put_staged t f n =
+  let r = Bytes.create n in
+  let pos = ref 0 in
+  while !pos < n do
+    let p = Queue.peek f.parts in
+    let take = Stdlib.min (String.length p - f.sent) (n - !pos) in
+    Bytes.blit_string p f.sent r !pos take;
+    pos := !pos + take;
+    if f.sent + take = String.length p then begin
+      ignore (Queue.pop f.parts);
+      f.sent <- 0
+    end
+    else f.sent <- f.sent + take
+  done;
+  f.len <- f.len - n;
+  t.be.be_put (Bytes.unsafe_to_string r)
+
 let fast_output t f s =
-  let slen = String.length s in
-  let cap = Bytes.length f.stage in
-  if f.len + slen > cap then begin
-    let ncap = ref (cap * 2) in
-    while f.len + slen > !ncap do
-      ncap := !ncap * 2
-    done;
-    let nb = Bytes.create !ncap in
-    Bytes.blit f.stage 0 nb 0 f.len;
-    f.stage <- nb
-  end;
-  Bytes.blit_string s 0 f.stage f.len slen;
-  f.len <- f.len + slen;
-  if f.len >= t.record_bytes then begin
-    let off = ref 0 in
-    while f.len - !off >= t.record_bytes do
-      t.be.be_put (Bytes.sub_string f.stage !off t.record_bytes);
-      off := !off + t.record_bytes
-    done;
-    Bytes.blit f.stage !off f.stage 0 (f.len - !off);
-    f.len <- f.len - !off
+  if String.length s > 0 then begin
+    Queue.push s f.parts;
+    f.len <- f.len + String.length s;
+    while f.len >= t.record_bytes do
+      put_staged t f t.record_bytes
+    done
   end
 
 let output t s =
@@ -94,11 +104,7 @@ let output t s =
 
 let close_sink t =
   (match t.st with
-  | Fast f ->
-    if f.len > 0 then begin
-      t.be.be_put (Bytes.sub_string f.stage 0 f.len);
-      f.len <- 0
-    end
+  | Fast f -> if f.len > 0 then put_staged t f f.len
   | Reference buf ->
     if Buffer.length buf > 0 then begin
       t.be.be_put (Buffer.contents buf);

@@ -19,7 +19,8 @@ module Make (K : Hashtbl.HashedType) = struct
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Lru.create";
-    { capacity; table = H.create (2 * capacity); head = None; tail = None }
+    (* the table grows with use: a small cache never pays for [capacity] *)
+    { capacity; table = H.create (Stdlib.min capacity 64); head = None; tail = None }
 
   let capacity t = t.capacity
   let length t = H.length t.table

@@ -1,41 +1,57 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in an 8-byte buffer: read and
+   written with [Bytes.get/set_int64_ne], every intermediate stays in a
+   register and a draw allocates nothing. *)
+type t = bytes
 
 let golden_gamma = 0x9e3779b97f4a7c15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = int64 t }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let int64 t = next t
+let split t = of_state (next t)
 
 (* 61 random bits: the range [0, 2^61) is comfortably representable in
    OCaml's 63-bit native int, including as an exclusive bound. *)
 let bit_range = 1 lsl 61
-let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 3)
+let bits t = Int64.to_int (Int64.shift_right_logical (next t) 3)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int";
-  (* Rejection sampling to avoid modulo bias. *)
-  let limit = bit_range - (bit_range mod bound) in
-  let rec draw () =
-    let v = bits t in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  if bound land (bound - 1) = 0 && bound <= bit_range then
+    (* A power of two divides 2^61, so the rejection limit below is
+       [bit_range], nothing is rejected and [mod] is a mask. *)
+    bits t land (bound - 1)
+  else begin
+    (* Rejection sampling to avoid modulo bias. *)
+    let limit = bit_range - (bit_range mod bound) in
+    let v = ref (bits t) in
+    while !v >= limit do
+      v := bits t
+    done;
+    !v mod bound
+  end
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in";
   lo + int t (hi - lo + 1)
 
 let float t bound = bound *. (Float.of_int (bits t) /. Float.of_int bit_range)
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let choose t a =
   if Array.length a = 0 then invalid_arg "Prng.choose";

@@ -20,10 +20,7 @@ let write_u32 w v =
   write_u16 w (v land 0xffff);
   write_u16 w ((v lsr 16) land 0xffff)
 
-let write_u64 w v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  Buffer.add_bytes w b
+let write_u64 w v = Buffer.add_int64_le w v
 
 let write_int w v = write_u64 w (Int64.of_int v)
 let write_bool w v = write_u8 w (if v then 1 else 0)
@@ -37,6 +34,7 @@ let write_bytes w b = Buffer.add_bytes w b
 let writer_length w = Buffer.length w
 let clear w = Buffer.clear w
 let contents w = Buffer.contents w
+let blit_contents w dst pos = Buffer.blit w 0 dst pos (Buffer.length w)
 
 type reader = { data : string; mutable pos : int }
 

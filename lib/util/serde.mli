@@ -41,6 +41,11 @@ val write_bytes : writer -> bytes -> unit
 val writer_length : writer -> int
 val contents : writer -> string
 
+val blit_contents : writer -> bytes -> int -> unit
+(** [blit_contents w dst pos] copies what [w] holds into [dst] at [pos],
+    without the intermediate string {!contents} allocates. Raises
+    [Invalid_argument] if it does not fit. *)
+
 val clear : writer -> unit
 (** Empty the writer, keeping its storage — for pooled writers on hot
     paths. *)

@@ -119,11 +119,8 @@ let encode_ptr_block ptrs off count =
 (* Materialize the lbn->vbn map and the list of indirect-block vbns from an
    on-disk inode. [read] lets views substitute uncached volume reads. *)
 let load_ptrs_with ~read (inode : Inode.t) =
-  let ptr_block vbn =
-    let b : bytes = read vbn in
-    Array.init Layout.ptrs_per_block (fun i ->
-        Int32.to_int (Bytes.get_int32_le b (i * 4)) land 0xffffffff)
-  in
+  (* pointer [i] of an indirect block, decoded in place *)
+  let ptr (b : bytes) i = Int32.to_int (Bytes.get_int32_le b (i * 4)) land 0xffffffff in
   let n = Inode.nblocks inode in
   let ptrs = Array.make (Stdlib.max n Layout.ndirect) Layout.no_block in
   let indirects = ref [] in
@@ -133,23 +130,24 @@ let load_ptrs_with ~read (inode : Inode.t) =
   done;
   if n > nd && inode.single <> Layout.no_block then begin
     indirects := inode.single :: !indirects;
-    let ind = ptr_block inode.single in
+    let ind = read inode.single in
     for i = 0 to Stdlib.min (n - nd) ppb - 1 do
-      ptrs.(nd + i) <- ind.(i)
+      ptrs.(nd + i) <- ptr ind i
     done
   end;
   if n > nd + ppb && inode.double <> Layout.no_block then begin
     indirects := inode.double :: !indirects;
-    let l2 = ptr_block inode.double in
+    let l2 = read inode.double in
     let remaining = n - nd - ppb in
     let nl2 = (remaining + ppb - 1) / ppb in
     for j = 0 to nl2 - 1 do
-      if l2.(j) <> Layout.no_block then begin
-        indirects := l2.(j) :: !indirects;
-        let ind = ptr_block l2.(j) in
+      let l1 = ptr l2 j in
+      if l1 <> Layout.no_block then begin
+        indirects := l1 :: !indirects;
+        let ind = read l1 in
         let base = nd + ppb + (j * ppb) in
         for i = 0 to Stdlib.min (n - base) ppb - 1 do
-          ptrs.(base + i) <- ind.(i)
+          ptrs.(base + i) <- ptr ind i
         done
       end
     done
@@ -190,6 +188,18 @@ let ftree_read_block t ft lbn =
       vol_read t ft.f_ptrs.(lbn)
     else Block.zero ()
 
+(* Block [lbn] of [ft] for the caller to change and then hand to
+   [ftree_write_block]: the ftree's own dirty copy if it has one (no other
+   holder sees a dirty block), else a private copy of the current
+   contents. *)
+let ftree_block_for_update t ft lbn =
+  match Hashtbl.find_opt ft.f_dirty lbn with
+  | Some b -> b
+  | None ->
+    if lbn < Array.length ft.f_ptrs && ft.f_ptrs.(lbn) <> Layout.no_block then
+      Bytes.copy (vol_read t ft.f_ptrs.(lbn))
+    else Block.zero ()
+
 let ftree_write_block t ft lbn data =
   Block.check data;
   if lbn >= Layout.max_file_blocks then err "file too large";
@@ -221,8 +231,8 @@ let read_inode t ino =
 let write_inode_slot t ino inode =
   check_ino t ino;
   let lbn, slot = slot_of_ino ino in
-  let b = Bytes.copy (ftree_read_block t t.inode_file lbn) in
-  Bytes.blit (Inode.encode inode) 0 b (slot * Layout.inode_size) Layout.inode_size;
+  let b = ftree_block_for_update t t.inode_file lbn in
+  Inode.encode_into inode b ~pos:(slot * Layout.inode_size);
   ftree_write_block t t.inode_file lbn b
 
 let get_ftree t ino =
@@ -296,7 +306,8 @@ let dir_add t dir_ino name ino =
   let ft = get_ftree t dir_ino in
   let placed = ref false in
   dir_iter_blocks t ft (fun lbn b ->
-      match Dir.add b name ino with
+      (* a dirty block is the ftree's own copy: append to it in place *)
+      match Dir.add ~in_place:(Hashtbl.mem ft.f_dirty lbn) b name ino with
       | Some b' ->
         ftree_write_block t ft lbn b';
         placed := true;
@@ -874,8 +885,7 @@ let write_internal t path ~offset data =
     let boff = abs mod Block.size in
     let chunk = Stdlib.min (Block.size - boff) (len - !pos) in
     let block =
-      if chunk = Block.size then Block.zero ()
-      else Bytes.copy (ftree_read_block t ft lbn)
+      if chunk = Block.size then Block.zero () else ftree_block_for_update t ft lbn
     in
     Bytes.blit_string data !pos block boff chunk;
     ftree_write_block t ft lbn block;
@@ -941,7 +951,7 @@ let truncate_internal t path ~size =
        zeros, not stale bytes. *)
     let lbn = new_n - 1 in
     let keep = size mod Block.size in
-    let b = Bytes.copy (ftree_read_block t ft lbn) in
+    let b = ftree_block_for_update t ft lbn in
     Bytes.fill b keep (Block.size - keep) '\000';
     ftree_write_block t ft lbn b
   end;
@@ -1153,8 +1163,9 @@ module View = struct
 
   (* Views read the volume directly, not through the buffer cache: at the
      paper's scale (188 GB behind 512 MB of RAM) a dump's reads are all
-     cache misses, and the scaled-down model must preserve that. *)
-  let vread vt vbn = Volume.read vt.vol vbn
+     cache misses, and the scaled-down model must preserve that. The reads
+     are borrowed: every caller decodes or copies the block at once. *)
+  let vread vt vbn = Volume.read_borrowed vt.vol vbn
 
   let make vt vroot =
     {
@@ -1202,7 +1213,7 @@ module View = struct
     let _, ptrs = tree v ino in
     if lbn < Array.length ptrs && ptrs.(lbn) <> Layout.no_block then begin
       charge_read v.vt Block.size;
-      Some (Bytes.copy (vread v.vt ptrs.(lbn)))
+      Some (Volume.read v.vt.vol ptrs.(lbn))
     end
     else None
 
@@ -1389,7 +1400,7 @@ let mkfs ?config ?nvram ?max_inodes vol =
 
 let read_fsinfo vol =
   let try_read vbn =
-    try Fsinfo.decode (Volume.read vol vbn) with Invalid_argument _ -> None
+    try Fsinfo.decode (Volume.read_borrowed vol vbn) with Invalid_argument _ -> None
   in
   match (try_read Layout.fsinfo_vbn_primary, try_read Layout.fsinfo_vbn_backup) with
   | Some a, Some b -> Some (if a.Fsinfo.generation >= b.Fsinfo.generation then a else b)

@@ -194,7 +194,8 @@ module View : sig
 
   val read : v -> int -> offset:int -> len:int -> string
   val file_block : v -> int -> int -> bytes option
-  (** [file_block v ino lbn]: [None] for holes. *)
+  (** [file_block v ino lbn]: [None] for holes, else a fresh copy of the
+      block that the caller owns. *)
 
   val block_present : v -> int -> int -> bool
   (** Hole-map probe without reading the data. *)

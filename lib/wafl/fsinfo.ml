@@ -20,7 +20,7 @@ type t = {
 
 let encode t =
   let open Repro_util.Serde in
-  let w = writer ~initial_size:4096 () in
+  let w = writer ~initial_size:512 () in
   write_fixed w Layout.fsinfo_magic;
   write_u64 w (Int64.of_int t.generation);
   write_u64 w (Int64.bits_of_float t.cp_time);
@@ -44,10 +44,9 @@ let encode t =
       write_u64 w (Int64.bits_of_float s.created);
       Inode.write w s.snap_root)
     t.snaps;
-  let body = contents w in
-  if String.length body + 4 > 4096 then invalid_arg "Fsinfo.encode: overflow";
+  if writer_length w + 4 > 4096 then invalid_arg "Fsinfo.encode: overflow";
   let b = Bytes.make 4096 '\000' in
-  Bytes.blit_string body 0 b 0 (String.length body);
+  blit_contents w b 0;
   (* CRC over the zero-padded body, stored in the last 4 bytes. *)
   let crc = Repro_util.Crc32.substring (Bytes.unsafe_to_string b) 0 4092 in
   Bytes.set_int32_le b 4092 (Int32.of_int crc);

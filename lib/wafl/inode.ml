@@ -121,15 +121,19 @@ let read r =
     double;
   }
 
-let encode t =
+(* One warm writer for every slot encode: [encode_into] completes before
+   returning, so sharing it is safe. *)
+let encode_pool = Repro_util.Serde.writer ~initial_size:Layout.inode_size ()
+
+let encode_into t b ~pos =
   let open Repro_util.Serde in
-  let w = writer ~initial_size:Layout.inode_size () in
+  let w = encode_pool in
+  clear w;
   write w t;
-  let body = contents w in
-  assert (String.length body <= Layout.inode_size);
-  let b = Bytes.make Layout.inode_size '\000' in
-  Bytes.blit_string body 0 b 0 (String.length body);
-  b
+  let len = writer_length w in
+  assert (len <= Layout.inode_size);
+  blit_contents w b pos;
+  Bytes.fill b (pos + len) (Layout.inode_size - len) '\000'
 
 let decode block ~pos =
   read (Repro_util.Serde.reader ~pos (Bytes.unsafe_to_string block))

@@ -37,8 +37,10 @@ val is_free : t -> bool
 val nblocks : t -> int
 (** Size in 4 KB blocks ([Block.blocks_for size]). *)
 
-val encode : t -> bytes
-(** Exactly {!Layout.inode_size} bytes. *)
+val encode_into : t -> bytes -> pos:int -> unit
+(** [encode_into t b ~pos] writes the inode over the
+    {!Layout.inode_size}-byte slot at [pos] in [b], zero-padded, and
+    allocates nothing. *)
 
 val decode : bytes -> pos:int -> t
 (** Raises [Serde.Corrupt] on a malformed slot. *)

@@ -27,18 +27,28 @@ type stats = { files : int; dirs : int; bytes : int }
 
 (* Deterministic, cheap file content: a seeded 4 KB tile repeated with a
    varying 16-byte stamp per block, so content differs per block but is
-   fast to produce and somewhat compressible, like real data. *)
+   fast to produce and somewhat compressible, like real data. The tile is
+   drawn straight into the first block and copied on from there, so the
+   file's bytes are the only allocation. *)
 let content rng size =
-  let tile = Bytes.create 4096 in
-  for i = 0 to 4095 do
-    Bytes.set tile i (Char.chr (Prng.int rng 256))
-  done;
   let b = Bytes.create size in
+  let head = Stdlib.min 4096 size in
+  for i = 0 to 4095 do
+    (* all 4096 draws happen even for a short file: the stream is fixed *)
+    let c = Char.unsafe_chr (Prng.int rng 256) in
+    if i < head then Bytes.unsafe_set b i c
+  done;
+  (* copy the tile on before block 0's stamp lands on it *)
+  let pos = ref head in
+  while !pos < size do
+    let n = Stdlib.min 4096 (size - !pos) in
+    Bytes.blit b 0 b !pos n;
+    pos := !pos + n
+  done;
   let pos = ref 0 in
   let blk = ref 0 in
   while !pos < size do
     let n = Stdlib.min 4096 (size - !pos) in
-    Bytes.blit tile 0 b !pos n;
     if n >= 16 then begin
       Bytes.set_int64_le b !pos (Int64.of_int !blk);
       Bytes.set_int64_le b (!pos + 8) (Prng.int64 rng)
@@ -46,7 +56,8 @@ let content rng size =
     incr blk;
     pos := !pos + n
   done;
-  Bytes.to_string b
+  (* [b] is handed over: nothing here writes it again *)
+  Bytes.unsafe_to_string b
 
 let sample_size rng p =
   let mu = Float.log p.median_file_bytes in

@@ -35,6 +35,41 @@ let test_disk_read_write () =
   Bytes.set r 0 'Z';
   Alcotest.(check bytes) "isolation" b (Disk.read d 7)
 
+(* The disk owns its blocks: a borrowed read is the stored block itself
+   (no copy) and charges exactly like a copying read; a write copies the
+   caller's buffer (into a fresh slot, then in place). *)
+let test_disk_borrowed () =
+  let a = Disk.create ~label:"a" (Disk.default_params ~blocks:64) in
+  let b = Disk.create ~label:"b" (Disk.default_params ~blocks:64) in
+  let buf = block_of_char 'a' in
+  Disk.write a 7 buf;
+  Disk.write b 7 buf;
+  Bytes.fill buf 0 Block.size 'z';
+  let r1 = Disk.read_borrowed a 7 in
+  Alcotest.(check bytes) "stored a copy" (block_of_char 'a') r1;
+  checkb "borrowed twice is one block" true (r1 == Disk.read_borrowed a 7);
+  checkb "copying read is fresh" false (Disk.read a 7 == r1);
+  checkb "unwritten borrows zero" true (Block.is_zero (Disk.read_borrowed a 9));
+  Disk.write a 7 (block_of_char 'c');
+  checkb "rewrite lands in the same slot" true (Disk.read_borrowed a 7 == r1);
+  Alcotest.(check bytes) "slot holds the rewrite" (block_of_char 'c') r1;
+  (* same address sequence on [b] with copying reads *)
+  ignore (Disk.read b 7);
+  ignore (Disk.read b 7);
+  ignore (Disk.read b 7);
+  ignore (Disk.read b 9);
+  Disk.write b 7 (block_of_char 'c');
+  ignore (Disk.read b 7);
+  checki "same reads" (Disk.reads b) (Disk.reads a);
+  checki "same writes" (Disk.writes b) (Disk.writes a);
+  checki "same seeks" (Disk.seeks b) (Disk.seeks a);
+  checki "same bytes" (Disk.bytes_moved b) (Disk.bytes_moved a);
+  checkb "same busy time" true (Disk.busy_seconds a = Disk.busy_seconds b);
+  Disk.fail a;
+  match Disk.read_borrowed a 7 with
+  | _ -> Alcotest.fail "failed disk must raise on a borrowed read"
+  | exception Disk.Disk_failed _ -> ()
+
 let test_disk_service_model () =
   let d = Disk.create ~label:"d0" (Disk.default_params ~blocks:4096) in
   (* sequential reads: one seek then streaming *)
@@ -254,7 +289,17 @@ let test_xor_kernel () =
     xor_into_bytewise expect src;
     Block.xor_into dst src;
     if not (Bytes.equal expect dst) then Alcotest.failf "length %d: xor differs" len;
-    if not (Bytes.equal src_before src) then Alcotest.failf "length %d: src changed" len
+    if not (Bytes.equal src_before src) then Alcotest.failf "length %d: src changed" len;
+    (* the one-pass RMW kernel: dst = a ^ b ^ c *)
+    let a = random_bytes rng len and c = random_bytes rng (len + Prng.int rng 9) in
+    let expect3 = Bytes.copy a in
+    xor_into_bytewise expect3 src;
+    xor_into_bytewise expect3 c;
+    let dst3 = random_bytes rng len in
+    Block.xor3_into dst3 a src c;
+    if not (Bytes.equal expect3 dst3) then Alcotest.failf "length %d: xor3 differs" len;
+    Block.xor3_into a a src c;
+    if not (Bytes.equal expect3 a) then Alcotest.failf "length %d: in-place xor3 differs" len
   done;
   List.iter
     (fun len ->
@@ -336,6 +381,112 @@ let prop_raid_parity =
         (Raid.disks r);
       true)
 
+(* Block ownership over a RAID group: random read-modify-write, full
+   stripe and degraded writes (any disk, parity included, may be down),
+   mixed with copying and borrowed reads. Every buffer handed to a write
+   is scribbled on after the call and every copying read's result is
+   scribbled on after the check; neither may change what the group holds.
+   A borrowed block must read the model's contents and keep them until
+   its gbn is written again. *)
+type own_op =
+  | O_write of int * int
+  | O_stripe of int * int
+  | O_read of int
+  | O_borrow of int
+  | O_fail of int
+  | O_rebuild
+
+let pp_own_op = function
+  | O_write (g, seed) -> Printf.sprintf "write %d seed %d" g seed
+  | O_stripe (st, seed) -> Printf.sprintf "stripe %d seed %d" st seed
+  | O_read g -> Printf.sprintf "read %d" g
+  | O_borrow g -> Printf.sprintf "borrow %d" g
+  | O_fail d -> Printf.sprintf "fail d%d" d
+  | O_rebuild -> "rebuild"
+
+let gen_own_ops =
+  QCheck2.Gen.(
+    list_size (int_range 1 60)
+      (frequency
+         [
+           (4, map2 (fun g seed -> O_write (g, seed)) (int_bound 127) nat);
+           (1, map2 (fun st seed -> O_stripe (st, seed)) (int_bound 31) nat);
+           (3, map (fun g -> O_read g) (int_bound 127));
+           (3, map (fun g -> O_borrow g) (int_bound 127));
+           (1, map (fun d -> O_fail d) (int_bound 4));
+           (1, return O_rebuild);
+         ]))
+
+let scribble b = Bytes.fill b 0 (Bytes.length b) '\x5a'
+
+let prop_block_ownership =
+  QCheck2.Test.make ~count:100 ~name:"block ownership: writes copy, reads isolate, borrows hold"
+    ~print:(fun ops -> String.concat "; " (List.map pp_own_op ops))
+    gen_own_ops (fun ops ->
+      let r = make_raid () in
+      let width = Raid.data_disks r in
+      let model = Array.init (Raid.data_blocks r) (fun _ -> Block.zero ()) in
+      let down = ref None in
+      (* live borrows: gbn, the borrowed block, its contents when taken *)
+      let borrows = ref [] in
+      let wrote g = borrows := List.filter (fun (g', _, _) -> g' <> g) !borrows in
+      let expect what g b =
+        if not (Bytes.equal b model.(g)) then Alcotest.failf "%s of gbn %d differs" what g
+      in
+      let apply = function
+        | O_write (g, seed) ->
+          let b = random_bytes (Prng.create seed) Block.size in
+          Raid.write r g b;
+          model.(g) <- Bytes.copy b;
+          scribble b;
+          wrote g
+        | O_stripe (st, seed) ->
+          let data = Array.init width (fun i -> random_bytes (Prng.create (seed + i)) Block.size) in
+          Raid.write_stripe r st data;
+          Array.iteri
+            (fun i b ->
+              model.((st * width) + i) <- Bytes.copy b;
+              scribble b;
+              wrote ((st * width) + i))
+            data
+        | O_read g ->
+          let b = Raid.read r g in
+          expect "read" g b;
+          scribble b
+        | O_borrow g ->
+          let b = Raid.read_borrowed r g in
+          expect "borrowed read" g b;
+          borrows := (g, b, Bytes.copy b) :: !borrows
+        | O_fail d ->
+          if !down = None then begin
+            Raid.fail_disk r d;
+            down := Some d
+          end
+        | O_rebuild -> (
+          match !down with
+          | Some d ->
+            Raid.rebuild_disk r d;
+            down := None
+          | None -> ())
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          List.iter
+            (fun (g, b, was) ->
+              if not (Bytes.equal b was) then
+                Alcotest.failf "borrowed gbn %d changed before a write to it" g)
+            !borrows)
+        ops;
+      Option.iter (fun d -> Raid.rebuild_disk r d) !down;
+      checkb "parity consistent" true (Raid.parity_consistent r);
+      Array.iteri
+        (fun g _ ->
+          expect "final read" g (Raid.read r g);
+          expect "final borrowed read" g (Raid.read_borrowed r g))
+        model;
+      true)
+
 let () =
   Alcotest.run "block"
     [
@@ -347,6 +498,7 @@ let () =
       ( "disk",
         [
           Alcotest.test_case "read/write" `Quick test_disk_read_write;
+          Alcotest.test_case "borrowed reads and owned writes" `Quick test_disk_borrowed;
           Alcotest.test_case "seek model" `Quick test_disk_service_model;
           Alcotest.test_case "failure and revive" `Quick test_disk_failure;
         ] );
@@ -360,6 +512,7 @@ let () =
             test_raid_stripe_write_cheaper;
           Alcotest.test_case "double failure raises" `Quick test_raid_double_failure;
           QCheck_alcotest.to_alcotest ~long:false prop_raid_parity;
+          QCheck_alcotest.to_alcotest ~long:false prop_block_ownership;
         ] );
       ( "volume",
         [

@@ -495,6 +495,27 @@ let test_read_path_scales_linearly () =
        (%.1fx, bound 6x)"
       small large ratio
 
+(* The bytes one fleet volume allocates: mkfs, populate, the logical
+   backup job and Library.save of a fixed-seed 20 KB volume, bounded at
+   the measured figure plus 10%. The count is exact run to run once a
+   minor collection is forced at each end: the runtime counts a block
+   allocated straight in the major heap (over 256 words) only at the next
+   minor collection. The first volume is a warm-up that builds the
+   process's lazy tables. *)
+let volume_alloc_bytes = 950_392.0
+
+let test_volume_alloc_guard () =
+  let v = volume ~bytes:20_000 ~seed:1 "guard" in
+  ignore (Fleet.exec_volume v);
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Fleet.exec_volume v);
+  Gc.minor ();
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes > 1.1 *. volume_alloc_bytes then
+    Alcotest.failf "one 20 KB volume allocated %.0f bytes (bound %.0f)" bytes
+      (1.1 *. volume_alloc_bytes)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -529,4 +550,6 @@ let () =
           Alcotest.test_case "replay and analyze scale linearly" `Quick
             test_read_path_scales_linearly;
         ] );
+      ( "volume",
+        [ Alcotest.test_case "allocation per volume" `Quick test_volume_alloc_guard ] );
     ]

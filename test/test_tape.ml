@@ -154,8 +154,11 @@ let test_corrupt_record () =
   let t = drive () in
   let m = Tape.blank_media ~label:"m0" in
   Tape.load t m;
-  Tape.write_record t "pristine-data";
+  (* the drive keeps the writer's string: damage must land in a copy *)
+  let written = String.init 13 (fun i -> "pristine-data".[i]) in
+  Tape.write_record t written;
   Tape.corrupt_record m ~index:0;
+  checks "writer's string untouched" "pristine-data" written;
   Tape.rewind t;
   match Tape.read_record t with
   | Tape.Record s -> checkb "damaged" true (not (String.equal s "pristine-data"))
@@ -170,8 +173,31 @@ let prop_tapeio_roundtrip =
       List.iter (Tapeio.output sink) chunks;
       Tapeio.close_sink sink;
       let whole = String.concat "" chunks in
-      let src = Tapeio.source lib in
-      String.equal whole (Tapeio.input_all src))
+      (* whole 777-byte records, then the remainder *)
+      let next = Tapeio.records lib in
+      let rec lengths acc =
+        match next () with Some r -> lengths (String.length r :: acc) | None -> List.rev acc
+      in
+      let got = lengths [] in
+      let n = String.length whole in
+      got = List.init (n / 777) (fun _ -> 777) @ (if n mod 777 > 0 then [ n mod 777 ] else [])
+      && String.equal whole (Tapeio.input_all (Tapeio.source lib)))
+
+(* [Library.saved_size] is exactly what [Library.save] writes, over
+   records, filemarks and several cartridges. *)
+let test_library_saved_size () =
+  let p = Tape.params ~compression:1.0 ~capacity_bytes:3000 () in
+  let lib = Library.create ~params:p ~slots:8 ~label:"size" () in
+  List.iter
+    (fun n ->
+      let sink = Tapeio.sink ~record_bytes:700 lib in
+      Tapeio.output sink (String.make n 'x');
+      Tapeio.close_sink sink)
+    [ 0; 1; 2500; 7000 ];
+  let w = Repro_util.Serde.writer () in
+  Library.save w lib;
+  checkb "several cartridges" true (List.length (Library.used_media lib) > 2);
+  checki "saved size" (Repro_util.Serde.writer_length w) (Library.saved_size lib)
 
 let () =
   Alcotest.run "tape"
@@ -191,6 +217,7 @@ let () =
         [
           Alcotest.test_case "media changes" `Quick test_library_media_change;
           Alcotest.test_case "magazine exhaustion" `Quick test_library_exhaustion;
+          Alcotest.test_case "saved size" `Quick test_library_saved_size;
         ] );
       ( "tapeio",
         [

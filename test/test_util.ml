@@ -254,6 +254,83 @@ let test_prng_distributions () =
     true
     (mean > 2.7 && mean < 3.3)
 
+(* Lockstep against the boxed-state reference (test/prng_ref.ml): the same
+   SplitMix64 stream through every primitive, split generators included,
+   over bounds that hit the power-of-two mask, the rejection loop and the
+   edges of the 61-bit range. *)
+type prng_op = P_int of int | P_bits | P_int64 | P_float | P_bool | P_split
+
+let pp_prng_op = function
+  | P_int b -> Printf.sprintf "int %d" b
+  | P_bits -> "bits"
+  | P_int64 -> "int64"
+  | P_float -> "float"
+  | P_bool -> "bool"
+  | P_split -> "split"
+
+let gen_prng_ops =
+  QCheck2.Gen.(
+    let bound =
+      oneof
+        [
+          int_range 1 300;
+          map (fun k -> 1 lsl k) (int_range 0 61);
+          map (fun k -> (1 lsl k) + 1) (int_range 1 60);
+          map (fun k -> (1 lsl k) - 1) (int_range 1 61);
+          int_range 1 (1 lsl 61);
+        ]
+    in
+    pair int
+      (list_size (int_range 1 200)
+         (frequency
+            [
+              (6, map (fun b -> P_int b) bound);
+              (1, return P_bits);
+              (1, return P_int64);
+              (1, return P_float);
+              (1, return P_bool);
+              (1, return P_split);
+            ])))
+
+let prop_prng_equals_reference =
+  QCheck2.Test.make ~count:300 ~name:"prng: unboxed stream equals the boxed reference"
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map pp_prng_op ops)))
+    gen_prng_ops (fun (seed, ops) ->
+      let rec run a r = function
+        | [] -> true
+        | op :: rest ->
+          let same =
+            match op with
+            | P_int b -> Prng.int a b = Prng_ref.int r b
+            | P_bits -> Prng.bits a = Prng_ref.bits r
+            | P_int64 -> Int64.equal (Prng.int64 a) (Prng_ref.int64 r)
+            | P_float -> Float.equal (Prng.float a 1.0) (Prng_ref.float r 1.0)
+            | P_bool -> Prng.bool a = Prng_ref.bool r
+            | P_split ->
+              (* the children's streams agree, and so do the parents' after *)
+              let ca = Prng.split a and cr = Prng_ref.split r in
+              List.for_all (fun b -> Prng.int ca b = Prng_ref.int cr b) [ 7; 256; 1 lsl 61 ]
+          in
+          same && run a r rest
+      in
+      run (Prng.create seed) (Prng_ref.create seed) ops)
+
+let test_prng_no_alloc () =
+  let rng = Prng.create 42 in
+  List.iter
+    (fun bound ->
+      let acc = ref 0 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 100_000 do
+        acc := !acc + Prng.int rng bound
+      done;
+      let words = Gc.minor_words () -. w0 in
+      ignore (Sys.opaque_identity !acc);
+      if words > 100.0 then
+        Alcotest.failf "Prng.int _ %d: %.0f minor words over 100k draws" bound words)
+    [ 256; 1000; 3; 1 lsl 40 ]
+
 let test_prng_shuffle () =
   let rng = Prng.create 5 in
   let a = Array.init 50 (fun i -> i) in
@@ -369,7 +446,9 @@ let () =
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "distributions" `Quick test_prng_distributions;
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle;
+          Alcotest.test_case "int allocates nothing" `Quick test_prng_no_alloc;
         ] );
+      qsuite "prng properties" [ prop_prng_equals_reference ];
       ( "heap",
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;

@@ -872,6 +872,163 @@ let prop_blockmap_lockstep =
       done;
       true)
 
+(* Lockstep oracle for directory blocks: random add/remove/replace
+   sequences on the in-place Dir and on the list-decoding reference
+   (Dir_ref) must give byte-identical blocks and the same lookups and
+   entry lists, with appends done in place or on a fresh block at random.
+   Names run up to the 255-byte limit and repeat, so blocks fill up and
+   duplicate entries occur. Damaged copies of each block (a wrong count, a
+   truncation, a flipped byte) must draw the same answer from both,
+   [Serde.Corrupt] included. *)
+module Dir = Repro_wafl.Dir
+module Serde = Repro_util.Serde
+
+type dir_op = D_add of int * int | D_remove of int | D_replace of int * int
+
+let pp_dir_op = function
+  | D_add (n, ino) -> Printf.sprintf "add #%d %d" n ino
+  | D_remove n -> Printf.sprintf "remove #%d" n
+  | D_replace (n, ino) -> Printf.sprintf "replace #%d %d" n ino
+
+(* Name [i] of a case's pool: lengths 0 and 256 are the rejected ones. *)
+let dir_name lens i =
+  let len = lens.(i mod Array.length lens) in
+  String.init len (fun k -> Char.chr (97 + ((i + k) mod 26)))
+
+let gen_dir_case =
+  QCheck2.Gen.(
+    let* lens =
+      array_size (int_range 1 12)
+        (frequency [ (6, int_range 1 40); (2, return 255); (1, oneofl [ 0; 256 ]) ])
+    in
+    let name = int_bound 15 and ino = int_bound 0xffffffff in
+    let op =
+      frequency
+        [
+          (6, map2 (fun n i -> D_add (n, i)) name ino);
+          (2, map (fun n -> D_remove n) name);
+          (2, map2 (fun n i -> D_replace (n, i)) name ino);
+        ]
+    in
+    let* ops = list_size (int_bound 120) op in
+    let* seed = nat in
+    return (lens, ops, seed))
+
+let print_dir_case (lens, ops, seed) =
+  Printf.sprintf "lens [%s] seed %d: %s"
+    (String.concat ";" (Array.to_list (Array.map string_of_int lens)))
+    seed
+    (String.concat "; " (List.map pp_dir_op ops))
+
+type 'a outcome = Value of 'a | Corrupt | Invalid
+
+let outcome f =
+  match f () with
+  | v -> Value v
+  | exception Serde.Corrupt _ -> Corrupt
+  | exception Invalid_argument _ -> Invalid
+
+let same_block a b =
+  match (a, b) with
+  | Value (Some x), Value (Some y) -> Bytes.equal x y
+  | Value None, Value None | Corrupt, Corrupt | Invalid, Invalid -> true
+  | _ -> false
+
+(* Every read of [b], and with [~updates] every update, agrees between
+   Dir and Dir_ref. *)
+let dir_agrees ?(updates = false) lens b =
+  let names = List.init 16 (dir_name lens) in
+  outcome (fun () -> Dir.entries b) = outcome (fun () -> Dir_ref.entries b)
+  && outcome (fun () -> Dir.count b) = outcome (fun () -> Dir_ref.count b)
+  && List.for_all
+       (fun n ->
+         outcome (fun () -> Dir.find b n) = outcome (fun () -> Dir_ref.find b n)
+         && ((not updates) || same_block
+              (outcome (fun () -> Dir.add b n 7))
+              (outcome (fun () -> Dir_ref.add b n 7))
+         && (Bytes.length b <> Dir_ref.block_size
+            || same_block
+                 (outcome (fun () -> Dir.add ~in_place:true (Bytes.copy b) n 7))
+                 (outcome (fun () -> Dir_ref.add b n 7)))
+         && same_block
+              (outcome (fun () -> Dir.remove b n))
+              (outcome (fun () -> Dir_ref.remove b n))
+         && same_block
+              (outcome (fun () -> Dir.replace b n 9))
+              (outcome (fun () -> Dir_ref.replace b n 9))))
+       names
+
+let prop_dir_lockstep =
+  QCheck2.Test.make ~count:300 ~name:"in-place directory blocks agree with the list reference"
+    ~print:print_dir_case gen_dir_case (fun (lens, ops, seed) ->
+      let rng = Prng.create seed in
+      let cur = ref (Dir.empty_block ()) in
+      let step op =
+        let before = Bytes.copy !cur in
+        let ours, theirs =
+          match op with
+          | D_add (n, ino) ->
+            let name = dir_name lens n in
+            (* in place on our own copy, or onto a fresh block *)
+            let in_place = Prng.bool rng in
+            let mine = if in_place then Bytes.copy !cur else !cur in
+            let r = outcome (fun () -> Dir.add ~in_place mine name ino) in
+            (match r with
+            | Value (Some b) when in_place && b != mine ->
+              Alcotest.fail "in-place add returned another block"
+            | Value None | Corrupt | Invalid ->
+              if not (Bytes.equal mine before) then
+                Alcotest.fail "a failed add changed the block"
+            | Value (Some _) -> ());
+            (r, outcome (fun () -> Dir_ref.add before name ino))
+          | D_remove n ->
+            let name = dir_name lens n in
+            (outcome (fun () -> Dir.remove !cur name), outcome (fun () -> Dir_ref.remove before name))
+          | D_replace (n, ino) ->
+            let name = dir_name lens n in
+            ( outcome (fun () -> Dir.replace !cur name ino),
+              outcome (fun () -> Dir_ref.replace before name ino) )
+        in
+        if not (same_block ours theirs) then Alcotest.failf "%s differs" (pp_dir_op op);
+        if not (Bytes.equal !cur before) then Alcotest.failf "%s changed its input" (pp_dir_op op);
+        match ours with Value (Some b) -> cur := b | _ -> ()
+      in
+      List.iter
+        (fun op ->
+          step op;
+          if not (dir_agrees lens !cur) then Alcotest.failf "after %s: reads differ" (pp_dir_op op))
+        ops;
+      (* damaged copies of the final block *)
+      let b = !cur in
+      if not (dir_agrees ~updates:true lens b) then Alcotest.fail "final block: answers differ";
+      let damaged =
+        [
+          (let d = Bytes.copy b in
+           Bytes.set_uint16_le d 0 (Prng.int rng 0x10000);
+           d);
+          (let d = Bytes.copy b in
+           Bytes.set_uint16_le d 0 (Dir_ref.count b + 1 + Prng.int rng 4);
+           d);
+          Bytes.sub b 0 (Prng.int rng (Bytes.length b));
+          (let d = Bytes.copy b in
+           let i = Prng.int rng 600 in
+           Bytes.set d i (Char.chr (Prng.int rng 256));
+           d);
+          (* well formed, but not zero past the last entry *)
+          (let d = Bytes.copy b in
+           for i = Bytes.length d - 1 - Prng.int rng 64 to Bytes.length d - 1 do
+             Bytes.set d i (Char.chr (1 + Prng.int rng 255))
+           done;
+           d);
+        ]
+      in
+      List.iteri
+        (fun k d ->
+          if not (dir_agrees ~updates:true lens d) then
+            Alcotest.failf "damaged copy %d: answers differ" k)
+        damaged;
+      true)
+
 let () =
   Alcotest.run "wafl"
     [
@@ -880,5 +1037,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~long:false prop_file_model;
           QCheck_alcotest.to_alcotest ~long:false prop_blockmap_lockstep;
+          QCheck_alcotest.to_alcotest ~long:false prop_dir_lockstep;
         ] );
     ]
